@@ -106,16 +106,26 @@ std::shared_ptr<const FftPlan> PlanCache::Get(std::size_t n) {
     WL_COUNT("dsp.plan_cache.hit");
     return found;
   }
-  // Build outside the lock: construction is O(n log n) and lookups for
-  // other sizes shouldn't wait on it. If two threads race on the same
-  // size, the first insert wins and the loser's plan is dropped.
-  auto plan = std::make_shared<const FftPlan>(n);
+  // Build under the lock: a size misses once per cache, so the O(n log n)
+  // build rarely blocks other lookups. A thread that lost the race to the
+  // first builder finds its plan here and counts a hit, not a miss.
+  bool built = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    found = plans_.emplace(n, std::move(plan)).first->second;
+    auto it = plans_.find(n);
+    if (it == plans_.end()) {
+      it = plans_.emplace(n, std::make_shared<const FftPlan>(n)).first;
+      built = true;
+    }
+    found = it->second;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  WL_COUNT("dsp.plan_cache.miss");
+  if (built) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    WL_COUNT("dsp.plan_cache.miss");
+  } else {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    WL_COUNT("dsp.plan_cache.hit");
+  }
   return found;
 }
 

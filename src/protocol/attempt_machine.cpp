@@ -72,7 +72,11 @@ AttemptMachine::AttemptMachine(const PhoneConfig& config, OtpService* otp,
       offload_(offload),
       clock_(clock),
       attack_(std::move(attack)),
-      faults_(faults),
+      inert_faults_(sim::FaultPlan{}, sim::Rng(0), &clock),
+      faults_(faults ? *faults : inert_faults_),
+      // Campaign mode (force_transmit) stays single-shot so the Table-I
+      // style raw-channel BER measurements are unaffected.
+      resilient_(faults && !config.force_transmit),
       queue_(queue),
       hooks_(std::move(hooks)) {}
 
@@ -152,8 +156,7 @@ sim::CoTask<> AttemptMachine::Run() {
 }
 
 sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
-  // Frame-local aliases keep the protocol body textually identical to
-  // the blocking AttemptInner it was transcribed from; the coroutine
+  // Frame-local aliases keep the protocol body terse; the coroutine
   // frame preserves every local across suspension points.
   audio::TwoMicScene& scene = scene_;
   WatchController& watch = watch_;
@@ -162,15 +165,12 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
   const OffloadPlanner& offload = offload_;
   sim::VirtualClock& clock = clock_;
   const AttackInjection& attack = attack_;
-  sim::FaultInjector* const faults = faults_;
+  sim::FaultInjector& faults = faults_;
 
   UnlockReport report;
   const std::uint64_t session_id = session_id_;
   const ResilienceConfig& res = config_.resilience;
-  // The ARQ / degrade machinery only engages when a fault injector is
-  // wired in; campaign mode (force_transmit) stays single-shot so the
-  // Table-I style raw-channel BER measurements are unaffected.
-  const bool resilient = faults != nullptr && !config_.force_transmit;
+  const bool resilient = resilient_;
   // Deterministic protocol-time accumulator: audio, communication and
   // waits - everything modeled from the seed - but NOT host-measured
   // compute, whose virtual charge varies with machine load. Budget and
@@ -231,7 +231,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
     WL_HIST("protocol.backoff_ms", backoff);
     comm_ms += backoff;
     co_await charge(backoff);
-    if (faults != nullptr) faults->MaybeReconnect(link);
+    faults.MaybeReconnect(link);
   };
 
   // The link went down mid-protocol. Wait out the scheduled outage (if
@@ -241,7 +241,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
       -> sim::CoTask<std::optional<UnlockOutcome>> {
     ++link_faults;
     maybe_degrade();
-    if (!faults->flap_down()) {
+    if (!faults.flap_down()) {
       WL_COUNT("protocol.link_lost");
       co_return UnlockOutcome::kLinkFlapped;
     }
@@ -249,7 +249,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
     // the wait (and whether the link recovers within it) is a pure
     // function of the seed.
     const sim::Millis outage_left =
-        std::max(0.0, faults->reconnect_at_ms() - clock.now());
+        std::max(0.0, faults.reconnect_at_ms() - clock.now());
     const sim::Millis wait =
         std::max(0.0, std::min({outage_left, stage_left, total_left()}));
     if (wait > 0.0) {
@@ -257,7 +257,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
       comm_ms += wait;
       co_await charge(wait);
     }
-    faults->MaybeReconnect(link);
+    faults.MaybeReconnect(link);
     if (!link.connected()) {
       WL_COUNT("protocol.link_lost");
       co_return UnlockOutcome::kLinkFlapped;
@@ -267,16 +267,9 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
 
   // One control message with the resilience policy applied: presumed
   // lost after message_timeout_ms, retransmitted with bounded backoff,
-  // outage waits charged but not counted against the retry budget. The
-  // fault-free path is byte-identical to the plain protocol.
+  // outage waits charged but not counted against the retry budget.
   auto send_control = [&](const std::string& stage, sim::Millis& comm_ms)
       -> sim::CoTask<std::optional<UnlockOutcome>> {
-    if (faults == nullptr) {
-      const sim::Millis ms = link.SampleMessageDelay();
-      comm_ms += ms;
-      co_await Wait(ms);
-      co_return std::nullopt;
-    }
     const sim::Millis stage_budget =
         std::min(res.stage_budget_ms, total_left());
     const sim::Millis stage_start = proto_ms;
@@ -286,7 +279,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
         WL_COUNT("protocol.timeout.stage");
         co_return UnlockOutcome::kStageTimeout;
       }
-      const sim::FaultInjector::SendResult r = faults->SendMessage(link, stage);
+      const sim::FaultInjector::SendResult r = faults.SendMessage(link, stage);
       if (r.status == sim::FaultInjector::SendStatus::kLinkDown) {
         if (auto fail = co_await wait_out_link(
                 stage_budget - (proto_ms - stage_start), comm_ms)) {
@@ -317,11 +310,9 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
     }
   };
 
-  // One bulk transfer under faults (fault-free callers keep using
-  // OffloadPlanner::Cost, which samples the link itself). A delivered
-  // transfer is streamed - spikes slow it down but never time it out -
-  // and its duration is returned for the offload cost accounting rather
-  // than charged here.
+  // One bulk transfer. A delivered transfer is streamed - spikes slow it
+  // down but never time it out - and its duration is returned for the
+  // offload cost accounting rather than charged here.
   auto send_file = [&](const std::string& stage, std::size_t bytes,
                        sim::Millis& comm_ms, sim::Millis* transfer_ms)
       -> sim::CoTask<std::optional<UnlockOutcome>> {
@@ -335,7 +326,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
         co_return UnlockOutcome::kStageTimeout;
       }
       const sim::FaultInjector::SendResult r =
-          faults->SendFile(link, bytes, stage);
+          faults.SendFile(link, bytes, stage);
       if (r.status == sim::FaultInjector::SendStatus::kLinkDown) {
         if (auto fail = co_await wait_out_link(
                 stage_budget - (proto_ms - stage_start), comm_ms)) {
@@ -412,7 +403,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
   }
   // A flap scheduled during an earlier attempt may have elapsed during
   // the inter-attempt backoff; recover before the link check.
-  if (faults != nullptr) faults->MaybeReconnect(link);
+  faults.MaybeReconnect(link);
   // Filter 0: no wireless link, no WearLock (cheapest possible skip).
   {
     WL_SPAN("phase1.link_check");
@@ -430,19 +421,13 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
   // Start message + watch ack.
   {
     WL_SPAN("phase1.rts_cts");
-    if (faults == nullptr) {
-      const sim::Millis rtt = link.SampleRoundTrip();
-      report.timings.phase1_comm_ms += rtt;
-      co_await Wait(rtt);
-    } else {
-      // RTS out, CTS back - each leg individually subject to faults.
-      for (int leg = 0; leg < 2; ++leg) {
-        if (auto fail =
-                co_await send_control("rts", report.timings.phase1_comm_ms)) {
-          report.outcome = *fail;
-          trace("rts-cts", "control channel failed: " + ToString(*fail));
-          co_return report;
-        }
+    // RTS out, CTS back - each leg individually subject to faults.
+    for (int leg = 0; leg < 2; ++leg) {
+      if (auto fail =
+              co_await send_control("rts", report.timings.phase1_comm_ms)) {
+        report.outcome = *fail;
+        trace("rts-cts", "control channel failed: " + ToString(*fail));
+        co_return report;
       }
     }
   }
@@ -502,7 +487,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
                  static_cast<double>(probe_tx.samples.size()));
     WL_SPAN_END(probe_tx_span);
 
-    if (faults != nullptr) faults->MutateRecording("rts", &watch_probe);
+    faults.MutateRecording("rts", &watch_probe);
 
     // The watch ships its Phase-1 data (recording + sensors).
     phase1 = watch.MakePhase1Report(session_id, std::move(watch_probe),
@@ -513,33 +498,26 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
     probe.reset();
     const sim::Millis probe_host_ms = sim::TimeHostMs(
         [&] { probe = modem.AnalyzeProbe(phase1.recording); });
-    StepCost phase1_cost;
     sim::Millis transfer_ms = 0.0;  // modeled upload delay (seed-derived)
-    if (faults == nullptr) {
-      phase1_cost = offload.Cost(
-          probe_host_ms, RecordingBytes(phase1.recording.size()), link);
-    } else {
-      if (effective.site == ProcessingSite::kOffloadToPhone) {
-        if (auto fail = co_await send_file(
-                "p1-upload", RecordingBytes(phase1.recording.size()),
-                report.timings.phase1_comm_ms, &transfer_ms)) {
-          maybe_degrade();
-          if (effective.site == ProcessingSite::kOffloadToPhone ||
-              *fail == UnlockOutcome::kStageTimeout) {
-            report.outcome = *fail;
-            trace("phase1-upload", "upload failed: " + ToString(*fail));
-            co_return report;
-          }
-          // Degrade ladder: keep the analysis on the watch instead.
-          trace("phase1-upload",
-                "upload failed (" + ToString(*fail) +
-                    "); degraded to watch-local analysis");
-          transfer_ms = 0.0;
+    if (effective.site == ProcessingSite::kOffloadToPhone) {
+      if (auto fail = co_await send_file(
+              "p1-upload", RecordingBytes(phase1.recording.size()),
+              report.timings.phase1_comm_ms, &transfer_ms)) {
+        maybe_degrade();
+        if (effective.site == ProcessingSite::kOffloadToPhone ||
+            *fail == UnlockOutcome::kStageTimeout) {
+          report.outcome = *fail;
+          trace("phase1-upload", "upload failed: " + ToString(*fail));
+          co_return report;
         }
+        // Degrade ladder: keep the analysis on the watch instead.
+        trace("phase1-upload", "upload failed (" + ToString(*fail) +
+                                   "); degraded to watch-local analysis");
+        transfer_ms = 0.0;
       }
-      phase1_cost = effective.CostWithTransfer(probe_host_ms, transfer_ms,
-                                               link.radio());
     }
+    const StepCost phase1_cost =
+        effective.CostWithTransfer(probe_host_ms, transfer_ms, link.radio());
     report.timings.phase1_compute_ms += phase1_cost.compute_ms;
     report.timings.phase1_comm_ms += phase1_cost.transfer_ms;
     report.watch_energy_mj += phase1_cost.watch_energy_mj;
@@ -547,16 +525,12 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
     // Recording the probe costs the watch energy too.
     report.watch_energy_mj += sim::DeviceProfile::EnergyMj(
         AudioMs(phase1.recording.size()), offload.watch.record_power_mw);
-    if (faults == nullptr) {
-      co_await Wait(phase1_cost.compute_ms + phase1_cost.transfer_ms);
-    } else {
-      // Charge the modeled upload delay directly: phase1_cost mixes in
-      // the host-measured compute probe, and modeled time may only
-      // absorb seed-derived values (CostWithTransfer passes transfer_ms
-      // through unchanged, so this is the same quantity).
-      co_await charge(transfer_ms);
-      co_await Wait(phase1_cost.compute_ms);
-    }
+    // Charge the modeled upload delay directly: phase1_cost mixes in
+    // the host-measured compute probe, and modeled time may only absorb
+    // seed-derived values (CostWithTransfer passes transfer_ms through
+    // unchanged, so this is the same quantity).
+    co_await charge(transfer_ms);
+    co_await Wait(phase1_cost.compute_ms);
     WL_SPAN_ATTR(probe_span, "compute_ms", phase1_cost.compute_ms);
     WL_SPAN_ATTR(probe_span, "transfer_ms", phase1_cost.transfer_ms);
     WL_SPAN_END(probe_span);
@@ -940,7 +914,7 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
       }
     }
 
-    if (faults != nullptr) faults->MutateRecording("p2-data", &phase2_recording);
+    faults.MutateRecording("p2-data", &phase2_recording);
 
     // Timing-drift compensation carried over from the probe: the same
     // warp rate holds for this capture (one walker, one clock pair), so
@@ -972,43 +946,35 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
       report.timings.phase2_compute_ms += t;
       report.watch_energy_mj +=
           sim::DeviceProfile::EnergyMj(t, offload.watch.compute_power_mw);
+      co_await Wait(t);
       // Result bits travel back as a small message.
-      if (faults == nullptr) {
-        const sim::Millis result_ms = link.SampleMessageDelay();
-        report.timings.phase2_comm_ms += result_ms;
-        co_await Wait(t + result_ms);
-      } else {
-        co_await Wait(t);
-        if (auto fail = co_await send_control("p2-result",
-                                              report.timings.phase2_comm_ms)) {
-          report.outcome = *fail;
-          trace("phase2-result", "control channel failed: " + ToString(*fail));
-          co_return report;
-        }
+      if (auto fail = co_await send_control("p2-result",
+                                            report.timings.phase2_comm_ms)) {
+        report.outcome = *fail;
+        trace("phase2-result", "control channel failed: " + ToString(*fail));
+        co_return report;
       }
     } else {
       std::optional<modem::DemodResult> demod;
       std::optional<std::vector<double>> soft;
       sim::Millis transfer_ms = 0.0;
       bool upload_ok = true;
-      if (faults != nullptr) {
-        if (auto fail = co_await send_file(
-                "p2-upload", RecordingBytes(phase2.recording.size()),
-                report.timings.phase2_comm_ms, &transfer_ms)) {
-          maybe_degrade();
-          if (effective.site == ProcessingSite::kOffloadToPhone ||
-              *fail == UnlockOutcome::kStageTimeout) {
-            report.outcome = *fail;
-            trace("phase2-upload", "upload failed: " + ToString(*fail));
-            co_return report;
-          }
-          // Degraded mid-phase: this round's copy is lost; the next
-          // round demodulates on the watch.
-          trace("phase2-upload", "upload failed (" + ToString(*fail) +
-                                     "); degraded to watch-local demod");
-          upload_ok = false;
-          transfer_ms = 0.0;
+      if (auto fail = co_await send_file(
+              "p2-upload", RecordingBytes(phase2.recording.size()),
+              report.timings.phase2_comm_ms, &transfer_ms)) {
+        maybe_degrade();
+        if (effective.site == ProcessingSite::kOffloadToPhone ||
+            *fail == UnlockOutcome::kStageTimeout) {
+          report.outcome = *fail;
+          trace("phase2-upload", "upload failed: " + ToString(*fail));
+          co_return report;
         }
+        // Degraded mid-phase: this round's copy is lost; the next round
+        // demodulates on the watch.
+        trace("phase2-upload", "upload failed (" + ToString(*fail) +
+                                   "); degraded to watch-local demod");
+        upload_ok = false;
+        transfer_ms = 0.0;
       }
       const sim::Millis host_ms = sim::TimeHostMs([&] {
         if (upload_ok) {
@@ -1021,24 +987,17 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
         }
       });
       const StepCost cost =
-          faults == nullptr
-              ? offload.Cost(host_ms, RecordingBytes(phase2.recording.size()),
-                             link)
-              : effective.CostWithTransfer(host_ms, transfer_ms, link.radio());
+          effective.CostWithTransfer(host_ms, transfer_ms, link.radio());
       report.timings.phase2_compute_ms += cost.compute_ms;
       report.timings.phase2_comm_ms += cost.transfer_ms;
       report.watch_energy_mj += cost.watch_energy_mj;
       report.phone_energy_mj += cost.phone_energy_mj;
       if (demod) bits = demod->bits;
       if (soft) round_llrs = *soft;
-      if (faults == nullptr) {
-        co_await Wait(cost.compute_ms + cost.transfer_ms);
-      } else {
-        // As in phase 1: charge the modeled transfer delay, not the
-        // cost struct that also carries host-measured compute.
-        co_await charge(transfer_ms);
-        co_await Wait(cost.compute_ms);
-      }
+      // As in phase 1: charge the modeled transfer delay, not the cost
+      // struct that also carries host-measured compute.
+      co_await charge(transfer_ms);
+      co_await Wait(cost.compute_ms);
     }
     report.watch_energy_mj += sim::DeviceProfile::EnergyMj(
         AudioMs(data_rx.watch_recording.size()), offload.watch.record_power_mw);

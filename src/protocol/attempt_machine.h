@@ -6,11 +6,16 @@
 // timeouts, bounded backoff, link-outage waits, upload transfers, the
 // distance-bounding exchange - suspends the coroutine and schedules its
 // continuation on the queue, so a single thread multiplexes thousands
-// of in-flight attempts at different protocol stages. The legacy
-// blocking PhoneController::Attempt() is now a thin shim: it drives one
-// machine on a private queue to completion, which drains synchronously
-// and byte-identically to the old call chain (the PR-3/4/5/8 goldens
-// pin this).
+// of in-flight attempts at different protocol stages. The blocking
+// UnlockSession::Attempt() drives one machine on a private queue to
+// completion.
+//
+// Every control message and upload takes one transport path, through
+// a sim::FaultInjector. A caller that wires none gets an inert one (an
+// empty plan whose Rng is never drawn), so fault-free sessions see the
+// bare link's delays; the resilience policy (ARQ, probe and Phase-2
+// retransmission, degrade ladder) engages only under a caller-supplied
+// injector.
 //
 // Clock doctrine (docs/architecture.md): the queue's clock is shared
 // and only orders the interleave; the machine advances its *session's*
@@ -56,8 +61,9 @@ class AttemptMachine {
  public:
   /// Collaborators must outlive the machine; `motion`, `offload` and
   /// `attack` are captured by value so async callers need not keep
-  /// them alive. Construction is inert - Start() schedules the first
-  /// slice at the queue's current time.
+  /// them alive. A null `faults` runs the attempt fault-free, through
+  /// the machine's own inert injector. Construction is inert - Start()
+  /// schedules the first slice at the queue's current time.
   AttemptMachine(const PhoneConfig& config, OtpService* otp,
                  Keyguard* keyguard, std::uint64_t session_id,
                  audio::TwoMicScene& scene, WatchController& watch,
@@ -99,11 +105,9 @@ class AttemptMachine {
   /// installed; fires on_done when the root task completes.
   void ResumeSlice(std::coroutine_handle<> handle);
 
-  /// The old Attempt() wrapper: root span, protocol body, verdict
-  /// span, end-of-attempt metrics.
+  /// Root span, protocol body, verdict span, end-of-attempt metrics.
   sim::CoTask<> Run();
-  /// The protocol body (the old AttemptInner), one co_await per
-  /// modeled wait.
+  /// The protocol body, one co_await per modeled wait.
   sim::CoTask<UnlockReport> RunInner();
 
   const PhoneConfig& config_;
@@ -117,7 +121,12 @@ class AttemptMachine {
   const OffloadPlanner offload_;
   sim::VirtualClock& clock_;
   const AttackInjection attack_;
-  sim::FaultInjector* faults_;
+  /// Stands in for a null caller injector: empty plan, session clock.
+  sim::FaultInjector inert_faults_;
+  sim::FaultInjector& faults_;
+  /// ARQ and degrade policy on: a caller-supplied injector and no
+  /// force_transmit campaign mode.
+  const bool resilient_;
   sim::EventQueue& queue_;
   AttemptHooks hooks_;
 

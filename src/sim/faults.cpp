@@ -168,38 +168,21 @@ void FaultInjector::MaybeReconnect(WirelessLink& link) {
 
 FaultInjector::SendResult FaultInjector::SendMessage(WirelessLink& link,
                                                      const std::string& stage) {
-  MaybeReconnect(link);
-  if (ShouldFlap(stage)) {
-    flap_fired_ = true;
-    flap_down_ = true;
-    reconnect_at_ms_ = clock_->now() + plan_.flap_down_ms;
-    link.set_connected(false);
-    Record(FaultKind::kLinkFlap, stage, plan_.flap_down_ms);
-    return {SendStatus::kLinkDown};
-  }
-  const auto delay = link.TrySendMessageDelay();
-  if (!delay) return {SendStatus::kLinkDown};
-  // Fixed draw order (drop, spike, dup) keeps the stream replayable.
-  if (plan_.message_drop_p > 0.0 && rng_.Chance(plan_.message_drop_p)) {
-    Record(FaultKind::kMessageDrop, stage, 0.0);
-    return {SendStatus::kDropped};
-  }
-  SendResult result{SendStatus::kDelivered, *delay, false};
-  if (plan_.delay_spike_p > 0.0 && rng_.Chance(plan_.delay_spike_p)) {
-    result.delay_ms *= plan_.delay_spike_mult;
-    Record(FaultKind::kDelaySpike, stage, result.delay_ms);
-  }
-  if (plan_.message_dup_p > 0.0 && rng_.Chance(plan_.message_dup_p)) {
-    result.duplicated = true;
-    Record(FaultKind::kMessageDuplicate, stage, 0.0);
-  }
-  return result;
+  return Send(link, stage, std::nullopt);
 }
 
 FaultInjector::SendResult FaultInjector::SendFile(WirelessLink& link,
                                                   std::size_t bytes,
                                                   const std::string& stage) {
+  return Send(link, stage, bytes);
+}
+
+FaultInjector::SendResult FaultInjector::Send(
+    WirelessLink& link, const std::string& stage,
+    std::optional<std::size_t> file_bytes) {
   MaybeReconnect(link);
+  // The flap fires before the link draws its delay, so a flapped send
+  // consumes no jitter.
   if (ShouldFlap(stage)) {
     flap_fired_ = true;
     flap_down_ = true;
@@ -208,8 +191,11 @@ FaultInjector::SendResult FaultInjector::SendFile(WirelessLink& link,
     Record(FaultKind::kLinkFlap, stage, plan_.flap_down_ms);
     return {SendStatus::kLinkDown};
   }
-  const auto delay = link.TrySendFileDelay(bytes);
+  const std::optional<Millis> delay =
+      file_bytes ? link.TrySendFileDelay(*file_bytes)
+                 : link.TrySendMessageDelay();
   if (!delay) return {SendStatus::kLinkDown};
+  // Fixed draw order (drop, spike, dup) keeps the stream replayable.
   if (plan_.message_drop_p > 0.0 && rng_.Chance(plan_.message_drop_p)) {
     Record(FaultKind::kMessageDrop, stage, 0.0);
     return {SendStatus::kDropped};

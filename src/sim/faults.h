@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,8 @@ enum class FaultKind {
 std::string ToString(FaultKind kind);
 
 /// Declarative description of what to inject. Defaults are all-off; a
-/// default FaultPlan makes the injector a transparent pass-through.
+/// default FaultPlan makes the injector a transparent pass-through that
+/// never draws its Rng (every draw is guarded by a probability above 0).
 struct FaultPlan {
   /// P(drop) per control message.
   double message_drop_p = 0.0;
@@ -136,6 +138,10 @@ class FaultInjector {
   const std::vector<FaultEvent>& events() const { return events_; }
 
  private:
+  /// The shared send path: a control message when `file_bytes` is
+  /// empty, else a bulk transfer of that many bytes.
+  SendResult Send(WirelessLink& link, const std::string& stage,
+                  std::optional<std::size_t> file_bytes);
   bool ShouldFlap(const std::string& stage);
   void Record(FaultKind kind, const std::string& stage, double value);
 

@@ -1,11 +1,14 @@
 // Simulation substrate tests: RNG determinism, virtual clock, device
-// profiles/energy model, wireless link latency models.
+// profiles/energy model, wireless link latency models, the inert
+// (empty-plan) fault injector.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sim/clock.h"
 #include "sim/device.h"
+#include "sim/faults.h"
 #include "sim/rng.h"
 #include "sim/wireless.h"
 
@@ -121,15 +124,40 @@ TEST(Wireless, DownLinkThrows) {
   EXPECT_NO_THROW(link.SampleMessageDelay());
 }
 
-TEST(Wireless, RoundTripIsTwoMessages) {
-  Rng rng(12);
-  WirelessLink link(LinkModel::Wifi(), rng.Fork());
-  double rtt_acc = 0.0, msg_acc = 0.0;
-  for (int i = 0; i < 200; ++i) {
-    rtt_acc += link.SampleRoundTrip();
-    msg_acc += link.SampleMessageDelay();
+// The attempt machine sends fault-free sessions through an empty-plan
+// injector, so that injector must be indistinguishable from the bare
+// link: the same delays in the same order, and no other effect.
+TEST(Faults, EmptyPlanInjectorIsTheBareLink) {
+  VirtualClock clock;
+  WirelessLink bare(LinkModel::Bluetooth(), Rng(21));
+  WirelessLink wrapped(LinkModel::Bluetooth(), Rng(21));
+  FaultInjector inert(FaultPlan{}, Rng(22), &clock);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const FaultInjector::SendResult message = inert.SendMessage(wrapped, "rts");
+    EXPECT_EQ(message.status, FaultInjector::SendStatus::kDelivered);
+    EXPECT_FALSE(message.duplicated);
+    EXPECT_EQ(message.delay_ms, bare.TrySendMessageDelay().value());
+    const std::size_t bytes = 4096 * i;
+    const FaultInjector::SendResult file =
+        inert.SendFile(wrapped, bytes, "p1-upload");
+    EXPECT_EQ(file.status, FaultInjector::SendStatus::kDelivered);
+    EXPECT_FALSE(file.duplicated);
+    EXPECT_EQ(file.delay_ms, bare.TrySendFileDelay(bytes).value());
+    clock.Advance(message.delay_ms + file.delay_ms);
   }
-  EXPECT_NEAR(rtt_acc / 200.0, 2.0 * msg_acc / 200.0, 0.2 * msg_acc / 200.0);
+
+  std::vector<double> recording = {0.5, -0.9, 0.1, 2.0};
+  const std::vector<double> original = recording;
+  EXPECT_FALSE(inert.MutateRecording("p2-data", &recording));
+  EXPECT_EQ(recording, original);
+
+  inert.MaybeReconnect(wrapped);
+  EXPECT_TRUE(wrapped.connected());
+  wrapped.set_connected(false);  // down for a reason the plan never caused
+  inert.MaybeReconnect(wrapped);
+  EXPECT_FALSE(wrapped.connected());
+  EXPECT_FALSE(inert.flap_down());
+  EXPECT_TRUE(inert.events().empty());
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 #      (budget: 10s), and pins --threads 1 vs 8 byte-identity
 #   2. plain build (warnings-as-errors) + full ctest, which includes
 #      the lint_test suite, the wearlock_lint_src tree gate, the header
-#      self-containment TUs, and the bench_smoke quick-runs
+#      self-containment TUs, and the bench_smoke quick-runs; then
+#      fft_plan_test repeated 200 times (the PlanCache miss race)
 #   3. bench report: fig5 --json at 1 and 8 threads collected into
 #      BENCH_dsp_core.json; the serial run is also the zero-allocation
 #      steady-state gate (docs/perf.md)
@@ -92,6 +93,10 @@ echo "lint output byte-identical across thread counts"
 banner "plain build + full test suite"
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
+# PlanCache::Get once counted a miss for every thread that lost the
+# build race; the repeat keeps that race from coming back unnoticed.
+ctest --test-dir build -R fft_plan_test --repeat until-fail:200 -j4 \
+    --output-on-failure
 
 banner "bench report: fig5 timing JSON (BENCH_dsp_core.json)"
 # One timed quick sweep per thread count, each writing the schema

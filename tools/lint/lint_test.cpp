@@ -803,7 +803,7 @@ TEST(DiscardedOutcomeTest, ConsumedOrExplicitlyDiscardedPasses) {
       "src/protocol/x.cpp",
       "void F(sim::WirelessLink& link) {\n"
       "  auto d = link.TrySendMessageDelay();\n"
-      "  if (link.TrySendRoundTrip()) { Use(); }\n"
+      "  if (link.TrySendFileDelay(64)) { Use(); }\n"
       "  (void)link.TrySendFileDelay(64);\n"
       "  return link.TrySendMessageDelay();\n"
       "}\n");

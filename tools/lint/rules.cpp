@@ -1073,7 +1073,6 @@ struct OutcomeApi {
 constexpr OutcomeApi kOutcomeApis[] = {
     {"", "TrySendMessageDelay"},
     {"", "TrySendFileDelay"},
-    {"", "TrySendRoundTrip"},
     {"FaultPlan", "Parse"},
     {"ImpairmentPlan", "Parse"},
     // Channel-hardening outcome carriers: a dropped carrier-sense

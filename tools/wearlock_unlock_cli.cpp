@@ -61,10 +61,17 @@
 // CI telemetry gate pins. Omitting --threads keeps the classic
 // sequential behavior of one session attempted repeatedly, which
 // --trace/--metrics/--fault-trace require.
+//
+// --config picks the whole base scenario, so it applies before every
+// other flag whatever its position: `--env cafe --config 2` runs Config2
+// in the cafe. A flag missing its value, an unknown --env/--activity
+// name, or a number that does not parse or is out of range exits 2.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,36 +87,63 @@ namespace {
 using namespace wearlock;
 using namespace wearlock::protocol;
 
-audio::Environment ParseEnv(const char* s) {
-  if (std::strcmp(s, "office") == 0) return audio::Environment::kOffice;
-  if (std::strcmp(s, "classroom") == 0) return audio::Environment::kClassroom;
-  if (std::strcmp(s, "cafe") == 0) return audio::Environment::kCafe;
-  if (std::strcmp(s, "grocery") == 0) return audio::Environment::kGroceryStore;
-  return audio::Environment::kQuietRoom;
+// A usage error; main reports it and exits 2.
+[[noreturn]] void BadValue(const std::string& flag, const std::string& value) {
+  throw std::invalid_argument("bad value for " + flag + ": '" + value + "'");
 }
 
-// atoi/atof-shaped wrappers over std::from_chars (the banned-api lint
-// rejects the real thing): any malformed value yields 0, like the
-// functions they replace, except trailing junk is rejected rather than
-// silently truncated.
-long long ParseIntFlag(const char* s) {
-  long long value = 0;
-  const char* end = s + std::strlen(s);
-  const auto result = std::from_chars(s, end, value);
-  return result.ec == std::errc() && result.ptr == end ? value : 0;
+audio::Environment ParseEnv(const std::string& s) {
+  if (s == "quiet") return audio::Environment::kQuietRoom;
+  if (s == "office") return audio::Environment::kOffice;
+  if (s == "classroom") return audio::Environment::kClassroom;
+  if (s == "cafe") return audio::Environment::kCafe;
+  if (s == "grocery") return audio::Environment::kGroceryStore;
+  BadValue("--env", s);
 }
 
-double ParseDoubleFlag(const char* s) {
-  double value = 0.0;
-  const char* end = s + std::strlen(s);
-  const auto result = std::from_chars(s, end, value);
-  return result.ec == std::errc() && result.ptr == end ? value : 0.0;
+sensors::Activity ParseActivity(const std::string& s) {
+  if (s == "sitting") return sensors::Activity::kSitting;
+  if (s == "walking") return sensors::Activity::kWalking;
+  if (s == "running") return sensors::Activity::kRunning;
+  BadValue("--activity", s);
 }
 
-sensors::Activity ParseActivity(const char* s) {
-  if (std::strcmp(s, "walking") == 0) return sensors::Activity::kWalking;
-  if (std::strcmp(s, "running") == 0) return sensors::Activity::kRunning;
-  return sensors::Activity::kSitting;
+// The whole token must parse (std::from_chars; the banned-api lint
+// rejects atoi/atof) and land in [lo, hi].
+template <typename T>
+T ParseNumber(const std::string& flag, const std::string& text, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    BadValue(flag, text);
+  }
+  return value;
+}
+
+// Writes `text` to `path` unless the path is empty.
+void WriteOutput(const std::string& path, const std::string& text) {
+  if (path.empty()) return;
+  std::ofstream os(path);
+  if (!os) throw std::runtime_error("cannot open " + path);
+  os << text;
+}
+
+// The base scenario --config names; Config1 runs at 0.3 m.
+ScenarioConfig BaseConfig(int argc, char** argv) {
+  int n = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--config") != 0) continue;
+    if (i + 1 >= argc) {
+      throw std::invalid_argument("missing value for --config");
+    }
+    n = ParseNumber(argv[i], argv[i + 1], 1, 3);
+  }
+  if (n == 2) return ScenarioConfig::Config2();
+  if (n == 3) return ScenarioConfig::Config3();
+  ScenarioConfig config = ScenarioConfig::Config1();
+  config.scene.distance_m = 0.3;
+  return config;
 }
 
 std::string FormatReport(int attempt, const UnlockReport& report) {
@@ -132,11 +166,8 @@ std::string FormatReport(int attempt, const UnlockReport& report) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ScenarioConfig config = ScenarioConfig::Config1();
-  config.scene.distance_m = 0.3;
+int Run(int argc, char** argv) {
+  ScenarioConfig config = BaseConfig(argc, argv);
   int attempts = 1;
   int retries = 0;
   std::size_t threads = 1;
@@ -147,18 +178,18 @@ int main(int argc, char** argv) {
   std::string attack_trace_path;
   std::string channel_trace_path;
   std::string session_log_path;
-  std::string attack_spec_str;
-  std::string impairment_spec_str;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) throw std::invalid_argument("missing value for " + arg);
+      return argv[++i];
     };
     if (arg == "--env") {
       config.scene.environment = ParseEnv(next());
     } else if (arg == "--distance") {
-      config.scene.distance_m = ParseDoubleFlag(next());
+      config.scene.distance_m = ParseNumber(arg, next(), 0.0, 1000.0);
+      if (config.scene.distance_m <= 0.0) BadValue(arg, argv[i]);
     } else if (arg == "--same-hand") {
       config.scene.distance_m = 0.15;
       config.scene.propagation = audio::PropagationSpec::BodyBlockedNlos();
@@ -170,52 +201,28 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-link") {
       config.wireless_connected = false;
     } else if (arg == "--config") {
-      const int n = static_cast<int>(ParseIntFlag(next()));
-      if (n == 2) config = ScenarioConfig::Config2();
-      if (n == 3) config = ScenarioConfig::Config3();
+      (void)next();  // applied first, by BaseConfig
     } else if (arg == "--activity") {
       config.activity = ParseActivity(next());
     } else if (arg == "--attempts") {
-      attempts = static_cast<int>(ParseIntFlag(next()));
+      attempts = ParseNumber(arg, next(), 1, 1'000'000);
     } else if (arg == "--retries") {
-      retries = static_cast<int>(ParseIntFlag(next()));
+      retries = ParseNumber(arg, next(), 0, 1000);
     } else if (arg == "--threads") {
       threads_set = true;
-      threads = static_cast<std::size_t>(ParseIntFlag(next()));
+      threads = ParseNumber<std::size_t>(arg, next(), 0, 1024);
       if (threads == 0) threads = sim::ParallelExecutor::DefaultThreadCount();
     } else if (arg == "--session-log") {
       session_log_path = next();
     } else if (arg == "--seed") {
-      config.seed = static_cast<std::uint64_t>(ParseIntFlag(next()));
+      config.seed = ParseNumber(arg, next(), std::uint64_t{0},
+                                std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--faults") {
-      try {
-        config.faults = sim::FaultPlan::Parse(next());
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "bad --faults spec: %s\n", error.what());
-        return 2;
-      }
+      config.faults = sim::FaultPlan::Parse(next());
     } else if (arg == "--attack") {
-      attack_spec_str = next();
-      try {
-        // Validate now for fast-fail flag feedback; the spec is applied
-        // after the loop so a later --config reset cannot drop it.
-        (void)sim::AttackSpec::Parse(attack_spec_str);
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "bad --attack spec: %s\n", error.what());
-        return 2;
-      }
+      config.attack = sim::AttackSpec::Parse(next());
     } else if (arg == "--impairments") {
-      impairment_spec_str = next();
-      try {
-        // Validate now for fast-fail flag feedback; the plan is applied
-        // after the loop so a later --config reset cannot drop it.
-        const audio::ImpairmentPlan parsed =
-            audio::ImpairmentPlan::Parse(impairment_spec_str);
-        (void)parsed;
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "bad --impairments spec: %s\n", error.what());
-        return 2;
-      }
+      config.impairments = audio::ImpairmentPlan::Parse(next());
     } else if (arg == "--channel-trace") {
       channel_trace_path = next();
     } else if (arg == "--attack-trace") {
@@ -236,26 +243,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (attack_trace_path.empty() == false && attack_spec_str.empty()) {
+  if (attack_trace_path.empty() == false && config.attack.empty()) {
     std::fprintf(stderr, "--attack-trace needs --attack\n");
     return 2;
   }
-  if (channel_trace_path.empty() == false && impairment_spec_str.empty()) {
+  if (channel_trace_path.empty() == false && config.impairments.empty()) {
     std::fprintf(stderr, "--channel-trace needs --impairments\n");
     return 2;
-  }
-  if (!impairment_spec_str.empty()) {
-    config.impairments = audio::ImpairmentPlan::Parse(impairment_spec_str);
   }
 
   int unlocked = 0;
   std::string session_log;
-  if (!attack_spec_str.empty()) {
+  if (!config.attack.empty()) {
     // Attack mode: each attempt is one complete attack scenario run by
     // the agent for the spec (which orchestrates its own victim
     // sessions), with the full defense suite armed. The exit code
     // reports the DEFENSE's outcome, not the victim's.
-    config.attack = sim::AttackSpec::Parse(attack_spec_str);
     config.phone.distance_bounding.enable = true;
     if (threads_set || !trace_path.empty() || !metrics_path.empty() ||
         !fault_trace_path.empty() || !channel_trace_path.empty()) {
@@ -288,22 +291,8 @@ int main(int argc, char** argv) {
           report.false_unlock ? 1 : 0, report.token_recovered ? 1 : 0,
           report.attacker_token_ber, ranging);
     }
-    if (!session_log_path.empty()) {
-      std::ofstream os(session_log_path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", session_log_path.c_str());
-        return 2;
-      }
-      os << session_log;
-    }
-    if (!attack_trace_path.empty()) {
-      std::ofstream os(attack_trace_path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", attack_trace_path.c_str());
-        return 2;
-      }
-      os << attack_trace;
-    }
+    WriteOutput(session_log_path, session_log);
+    WriteOutput(attack_trace_path, attack_trace);
     std::printf("defense held %d/%d against %s\n", attempts - breaches,
                 attempts, config.attack.spec.c_str());
     return breaches == 0 ? 0 : 1;
@@ -352,14 +341,7 @@ int main(int argc, char** argv) {
       std::fputs(result.text.c_str(), stdout);
       session_log += result.records;
     }
-    if (!session_log_path.empty()) {
-      std::ofstream os(session_log_path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", session_log_path.c_str());
-        return 2;
-      }
-      os << session_log;
-    }
+    WriteOutput(session_log_path, session_log);
     std::printf("unlocked %d/%d\n", unlocked, attempts);
     return unlocked > 0 ? 0 : 1;
   }
@@ -379,31 +361,18 @@ int main(int argc, char** argv) {
     if (report.unlocked) ++unlocked;
     std::fputs(FormatReport(a, report).c_str(), stdout);
   }
-  if (!session_log_path.empty()) {
-    std::ofstream os(session_log_path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", session_log_path.c_str());
-      return 2;
-    }
-    os << session_log;
-  }
+  WriteOutput(session_log_path, session_log);
   if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", trace_path.c_str());
-      return 2;
-    }
+    std::ostringstream os;
     session.tracer().WriteChromeTrace(os);
+    WriteOutput(trace_path, os.str());
     std::printf("wrote %zu spans to %s\n", session.tracer().spans().size(),
                 trace_path.c_str());
   }
   if (!metrics_path.empty()) {
-    std::ofstream os(metrics_path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", metrics_path.c_str());
-      return 2;
-    }
+    std::ostringstream os;
     session.metrics().WriteJson(os);
+    WriteOutput(metrics_path, os.str());
     std::printf("wrote metrics to %s\n", metrics_path.c_str());
   }
   if (!fault_trace_path.empty()) {
@@ -411,12 +380,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--fault-trace needs --faults\n");
       return 2;
     }
-    std::ofstream os(fault_trace_path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", fault_trace_path.c_str());
-      return 2;
-    }
-    os << sim::FaultTraceJsonl(session.faults()->events());
+    WriteOutput(fault_trace_path,
+                sim::FaultTraceJsonl(session.faults()->events()));
     std::printf("wrote %zu fault events to %s\n",
                 session.faults()->events().size(), fault_trace_path.c_str());
   }
@@ -424,15 +389,21 @@ int main(int argc, char** argv) {
     // Guarded above: --channel-trace without --impairments already
     // exited, so the scene is armed here.
     const audio::ChannelImpairments* chan = session.scene().impairments();
-    std::ofstream os(channel_trace_path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", channel_trace_path.c_str());
-      return 2;
-    }
-    os << audio::ChannelTraceJsonl(chan->events());
+    WriteOutput(channel_trace_path, audio::ChannelTraceJsonl(chan->events()));
     std::printf("wrote %zu channel events to %s\n", chan->events().size(),
                 channel_trace_path.c_str());
   }
   std::printf("unlocked %d/%d\n", unlocked, attempts);
   return unlocked > 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "wearlock_unlock_cli: %s\n", error.what());
+    return 2;
+  }
 }
