@@ -33,7 +33,21 @@ class FftPlan {
 
   /// In-place unscaled transform of data[0..size()); `inverse` flips the
   /// twiddle sign. Matches the legacy dsp::Fft transform bit-for-bit.
+  /// Runs ExecuteAvx2 when the CPU has AVX2 (checked once per process),
+  /// else ExecuteScalar; the two are bit-identical.
   void Execute(Complex* data, bool inverse) const;
+
+  /// The portable butterfly loop: the fallback and the reference the
+  /// vector kernel is tested against.
+  void ExecuteScalar(Complex* data, bool inverse) const;
+
+  /// The same operations per element, two complex values per AVX2
+  /// register, without FMA. Falls back to ExecuteScalar on a CPU
+  /// without AVX2.
+  void ExecuteAvx2(Complex* data, bool inverse) const;
+
+  /// True when this CPU runs ExecuteAvx2's vector kernel.
+  static bool HasAvx2();
 
   /// Forward transform (same result as dsp::Fft).
   void Forward(Complex* data) const { Execute(data, /*inverse=*/false); }
@@ -42,6 +56,9 @@ class FftPlan {
   void Inverse(Complex* data) const;
 
  private:
+  void Permute(double* x) const;
+  const double* TwiddleTable(bool inverse) const;
+
   std::size_t n_ = 0;
   std::vector<std::uint32_t> swap_a_, swap_b_;  // bit-reversal pairs, i < j
   ComplexVec fwd_, inv_;  // concatenated per-stage twiddle tables

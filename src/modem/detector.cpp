@@ -11,12 +11,14 @@
 namespace wearlock::modem {
 
 PreambleDetector::PreambleDetector(FrameSpec spec, DetectorConfig config)
-    : spec_(spec), config_(config), preamble_(MakePreamble(spec)) {}
+    : spec_(spec),
+      config_(config),
+      preamble_(dsp::CorrelationTemplate::Shared(MakePreamble(spec))) {}
 
 std::vector<double> PreambleDetector::Scores(
     std::span<const double> recording) const {
-  if (recording.size() < preamble_.size()) return {};
-  return dsp::NormalizedCrossCorrelate(recording, preamble_);
+  if (recording.size() < preamble_->size()) return {};
+  return dsp::NormalizedCrossCorrelate(recording, *preamble_);
 }
 
 // lint: hot-path
@@ -66,11 +68,11 @@ std::optional<Detection> PreambleDetector::Detect(
   const std::size_t begin =
       *onset >= config_.energy_window ? *onset - config_.energy_window : 0;
   const std::span<const double> region = recording.subspan(begin);
-  if (region.size() < preamble_.size()) return std::nullopt;
+  if (region.size() < preamble_->size()) return std::nullopt;
   dsp::Workspace& ws = dsp::Workspace::PerThread();
   dsp::RealVec& scores = ws.RealBuf(dsp::RSlot::kDetectorScores,
-                                    region.size() - preamble_.size() + 1);
-  dsp::NormalizedCrossCorrelateInto(region, preamble_, ws, scores);
+                                    region.size() - preamble_->size() + 1);
+  dsp::NormalizedCrossCorrelateInto(region, *preamble_, ws, scores);
   const dsp::PeakResult peak = dsp::FindPeak(scores);
   if (peak.score < config_.score_threshold) {
     WL_COUNT("modem.sync.no_preamble");

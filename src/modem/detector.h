@@ -7,11 +7,12 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "audio/signal.h"
+#include "dsp/correlate.h"
 #include "modem/frame.h"
 
 namespace wearlock::modem {
@@ -57,7 +58,8 @@ class PreambleDetector {
  private:
   FrameSpec spec_;
   DetectorConfig config_;
-  audio::Samples preamble_;
+  // Shared by every detector for this frame spec, with its spectra.
+  std::shared_ptr<const dsp::CorrelationTemplate> preamble_;
 };
 
 }  // namespace wearlock::modem

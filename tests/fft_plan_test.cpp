@@ -1,13 +1,13 @@
-// dsp::FftPlan / dsp::PlanCache: bit-identity against the legacy
-// transform, cache counter behavior, and concurrent Get() (a TSan
-// target; ci.sh runs this binary under ThreadSanitizer with
-// WEARLOCK_THREADS=8).
+// FftPlan, PlanCache, CorrelationTemplate: bit-identity, cache counters and
+// concurrent first use (TSan targets: ci.sh runs it with WEARLOCK_THREADS=8).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "dsp/correlate.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/workspace.h"
@@ -65,7 +65,7 @@ TEST_P(PlanVsLegacy, CachedPlanMatchesFreshPlan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PlanVsLegacy,
-                         ::testing::Values(8, 16, 64, 256, 1024, 4096, 8192),
+                         ::testing::Values(8, 16, 64, 256, 1024, 4096, 8192, 16384, 32768, 65536),
                          [](const auto& info) {
                            // Piecewise: dodges GCC 12 -Wrestrict at -O3.
                            std::string name(1, 'n');
@@ -140,6 +140,141 @@ TEST(Workspace, SlotsGrowOnceThenHoldSteady) {
   EXPECT_EQ(ws.bytes(), bytes_after_growth);
   ComplexVec& zeroed = ws.ComplexZeroed(CSlot::kFftScratch, 512);
   for (const Complex& c : zeroed) EXPECT_EQ(c, Complex(0.0, 0.0));
+}
+
+// ---- AVX2 kernel vs the scalar oracle --------------------------------
+
+enum class Inputs { kGaussian, kZerosAndSubnormals, kNear1e300 };
+
+// kZerosAndSubnormals mixes +0, -0 and subnormals into ordinary values;
+// kNear1e300 puts a few huge values among ordinary ones, so later
+// stages overflow to inf and then NaN.
+ComplexVec KernelInput(std::size_t n, Inputs kind) {
+  ComplexVec x = RandomSignal(n, 3 * n + static_cast<std::uint64_t>(kind));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (kind == Inputs::kZerosAndSubnormals) {
+      switch (i % 5) {
+        case 0: x[i] = Complex(0.0, -0.0); break;
+        case 1: x[i] = Complex(-0.0, 0.0); break;
+        case 2: x[i] = Complex(x[i].real() * 1e-310, x[i].imag() * 4e-320); break;
+        default: break;
+      }
+    } else if (kind == Inputs::kNear1e300 && i % 7 == 3) {
+      x[i] = Complex(x[i].real() * 1e300, -x[i].imag() * 3e299);
+    }
+  }
+  return x;
+}
+
+TEST(FftKernels, Avx2MatchesScalarBitForBit) {
+  if (!FftPlan::HasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  for (std::size_t n = 2; n <= 65536; n <<= 1) {
+    const FftPlan plan(n);
+    for (const Inputs kind : {Inputs::kGaussian, Inputs::kZerosAndSubnormals,
+                              Inputs::kNear1e300}) {
+      for (const bool inverse : {false, true}) {
+        ComplexVec scalar = KernelInput(n, kind);
+        ComplexVec avx2 = scalar;
+        plan.ExecuteScalar(scalar.data(), inverse);
+        plan.ExecuteAvx2(avx2.data(), inverse);
+        ASSERT_EQ(std::memcmp(scalar.data(), avx2.data(), n * sizeof(Complex)),
+                  0)
+            << "n " << n << " inputs " << static_cast<int>(kind)
+            << (inverse ? " inverse" : " forward");
+      }
+    }
+  }
+}
+
+TEST(FftKernels, ExecuteMatchesTheScalarOracle) {
+  for (const std::size_t n : {2u, 4u, 512u, 16384u}) {
+    const FftPlan plan(n);
+    for (const bool inverse : {false, true}) {
+      ComplexVec oracle = RandomSignal(n, n + 5);
+      ComplexVec dispatched = oracle;
+      plan.ExecuteScalar(oracle.data(), inverse);
+      plan.Execute(dispatched.data(), inverse);
+      ExpectBitIdentical(dispatched, oracle);
+    }
+  }
+}
+
+// ---- fixed-template correlation cache ----------------------------------
+
+std::vector<double> RealSignal(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  return rng.GaussianVector(n);
+}
+
+// The cached path must reproduce the three-transform path bit for bit,
+// at the transform sizes the receiver's preamble search uses.
+TEST(CorrelationTemplate, CachedCorrelationMatchesUncachedBitForBit) {
+  const std::vector<double> taps = RealSignal(256, 1);
+  const CorrelationTemplate tmpl(taps);
+  Workspace ws;
+  for (const std::size_t x_len : {3000u, 12000u, 20000u}) {
+    const std::vector<double> x = RealSignal(x_len, x_len);
+    const std::size_t lags = x_len - taps.size() + 1;
+    std::vector<double> plain(lags), cached(lags);
+    CrossCorrelateFftInto(x, taps, ws, plain);
+    CrossCorrelateFftInto(x, tmpl, ws, cached);
+    ASSERT_EQ(std::memcmp(plain.data(), cached.data(), lags * sizeof(double)), 0)
+        << x_len;
+    NormalizedCrossCorrelateInto(x, taps, ws, plain);
+    NormalizedCrossCorrelateInto(x, tmpl, ws, cached);
+    ASSERT_EQ(std::memcmp(plain.data(), cached.data(), lags * sizeof(double)), 0)
+        << x_len;
+    EXPECT_EQ(NormalizedCrossCorrelate(x, tmpl), plain);
+  }
+  EXPECT_EQ(tmpl.builds(), 3u);  // 4096, 16384, 32768: once each
+}
+
+TEST(CorrelationTemplate, ConcurrentFirstUseBuildsOnce) {
+  // 8 threads fetch the shared template for taps no other test uses and
+  // correlate against it at once: one template, one spectrum build, and
+  // every thread reads the same spectrum (a TSan target, like
+  // PlanCache's concurrent test).
+  const std::vector<double> taps = RealSignal(256, 2);
+  const std::vector<double> x = RealSignal(12000, 3);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const CorrelationTemplate>> tmpl(kThreads);
+  std::vector<const ComplexVec*> seen(kThreads);
+  std::vector<std::vector<double>> scores(kThreads);
+  std::atomic<std::size_t> waiting{kThreads};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() != 0) std::this_thread::yield();
+      tmpl[t] = CorrelationTemplate::Shared(taps);
+      seen[t] = &tmpl[t]->Spectrum(*PlanCache::Shared().Get(16384));
+      Workspace ws;
+      scores[t].resize(x.size() - taps.size() + 1);
+      NormalizedCrossCorrelateInto(x, *tmpl[t], ws, scores[t]);
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(tmpl[0]->builds(), 1u);
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(tmpl[t], tmpl[0]);
+    EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_EQ(scores[t], scores[0]);
+  }
+}
+
+TEST(CorrelationTemplate, SharedIsOnePerBitwiseTapSequence) {
+  std::vector<double> a = RealSignal(64, 4);
+  const auto first = CorrelationTemplate::Shared(a);
+  EXPECT_EQ(CorrelationTemplate::Shared(std::vector<double>(a)), first);
+  std::vector<double> b = a;
+  b[10] += 1.0;
+  EXPECT_NE(CorrelationTemplate::Shared(b), first);
+  a[0] = 0.0;
+  b = a;
+  b[0] = -0.0;  // equal as values, different spectra bits
+  EXPECT_NE(CorrelationTemplate::Shared(a), CorrelationTemplate::Shared(b));
+  EXPECT_THROW(CorrelationTemplate(std::vector<double>{}), std::invalid_argument);
 }
 
 }  // namespace

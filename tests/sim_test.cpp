@@ -1,9 +1,13 @@
-// Simulation substrate tests: RNG determinism, virtual clock, device
-// profiles/energy model, wireless link latency models, the inert
-// (empty-plan) fault injector.
+// Simulation substrate tests: RNG determinism and bit-exactness against
+// the standard library, virtual clock, device profiles/energy model,
+// wireless link latency models, the inert (empty-plan) fault injector.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <random>
 #include <vector>
 
 #include "sim/clock.h"
@@ -52,6 +56,122 @@ TEST(Rng, UniformBounds) {
     EXPECT_GE(u, 2.0);
     EXPECT_LT(u, 3.0);
   }
+}
+
+// ---- bit-exactness: the streams are std's, bit for bit ---------------
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
+  // Fork() seeds a child with the parent's next raw output.
+  std::mt19937_64 parent(20260808);
+  seeds.push_back(parent());
+  seeds.push_back(parent());
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 want(seed);
+    long first_mismatch = -1;
+    for (long i = 0; i < 1'000'000 && first_mismatch < 0; ++i) {
+      if (ours() != want()) first_mismatch = i;
+    }
+    EXPECT_EQ(first_mismatch, -1) << "seed " << seed;
+  }
+}
+
+TEST(Rng, FillMatchesSingleCalls) {
+  // Batches that start mid-state and straddle twists.
+  Mt19937_64 bulk(5), single(5);
+  std::vector<std::uint64_t> got(1000);
+  for (const std::size_t count : {1u, 7u, 311u, 312u, 313u, 1000u}) {
+    bulk.Fill(got.data(), count);
+    for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(got[i], single());
+  }
+}
+
+TEST(Rng, ForkSeedsTheChildWithTheParentsNextOutput) {
+  Rng parent(20260808);
+  std::mt19937_64 want_parent(20260808);
+  Rng child = parent.Fork();
+  Rng want_child(want_parent());
+  EXPECT_EQ(child.GaussianVector(64), want_child.GaussianVector(64));
+  // Uniform() and the std distributions draw through the same engine.
+  EXPECT_EQ(parent.Uniform(0.0, 1.0),
+            std::uniform_real_distribution<double>(0.0, 1.0)(want_parent));
+}
+
+// Bit patterns: -0.0 differs from +0.0 and equal NaNs compare equal.
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(values.size());
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+#ifdef __GLIBCXX__
+// The sampler reproduces libstdc++'s std::normal_distribution<double>.
+TEST(Rng, GaussianMatchesStdNormalDistributionBitForBit) {
+  for (const double stddev : {1.0, 0.37, 0.0, 1e-300}) {
+#ifdef _GLIBCXX_ASSERTIONS
+    // The checked library asserts stddev > 0 in the oracle itself.
+    if (stddev == 0.0) continue;
+#endif
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 17u, 4097u}) {
+      const std::uint64_t seed = 1000 + n;
+      Rng ours(seed);
+      std::mt19937_64 engine(seed);
+      // GaussianVector is one distribution kept across n draws...
+      const std::vector<double> got = ours.GaussianVector(n, stddev);
+      std::vector<double> want(n);
+      std::normal_distribution<double> dist(0.0, stddev);
+      for (double& x : want) x = dist(engine);
+      ASSERT_EQ(Bits(got), Bits(want)) << "n " << n << " stddev " << stddev;
+      // ...that drops the unused partner of its last pair, so a fresh
+      // Gaussian() after it stays in step with a fresh distribution.
+      for (int i = 0; i < 3; ++i) {
+        const double g = ours.Gaussian(stddev);
+        const double h = std::normal_distribution<double>(0.0, stddev)(engine);
+        ASSERT_EQ(Bits({g}), Bits({h}))
+            << "n " << n << " stddev " << stddev << " draw " << i;
+      }
+    }
+  }
+}
+#endif
+
+// Pins the stream without the standard library as the oracle.
+TEST(Rng, FirstDrawsOfAFixedSeedArePinned) {
+  static constexpr double kWant[8] = {
+      -0x1.9e28d245c9901p-1, 0x1.589b365bbe2ffp-5,  -0x1.4ad4ab6ddfc3bp+0,
+      0x1.0b71fabca067bp+1,  0x1.ddc4ad149adfcp-3,  -0x1.b0acb0bb09c4ep-2,
+      0x1.86880c452a40fp-2,  0x1.ec3e755309357p-1,
+  };
+  Rng rng(20260808);
+  EXPECT_EQ(Bits(rng.GaussianVector(8)),
+            Bits(std::vector<double>(std::begin(kWant), std::end(kWant))));
+}
+
+TEST(Rng, U64ToDoubleRoundsLikeStaticCast) {
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+  const std::uint64_t cases[] = {
+      0,       1,       k53 - 1, k53, k53 + 1, k53 + 3, k63 - 1,
+      k63,     k63 + 1, k63 + 1024, k63 + 1025, ~std::uint64_t{0} - 1024,
+      ~std::uint64_t{0}};
+  for (const std::uint64_t u : cases) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(U64ToDouble(u)),
+              std::bit_cast<std::uint64_t>(static_cast<double>(u)))
+        << u;
+  }
+  Mt19937_64 engine(3);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t u = engine();
+    ASSERT_EQ(U64ToDouble(u), static_cast<double>(u)) << u;
+  }
+  // 2^64 - 1 rounds up to 2^64, so the canonical uniform hits 1.0 and
+  // must be clamped to the largest double below it.
+  EXPECT_EQ(U64ToDouble(~std::uint64_t{0}), 0x1p64);
+  EXPECT_EQ(CanonicalFromU64(~std::uint64_t{0}), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(CanonicalFromU64(0), 0.0);
+  EXPECT_EQ(CanonicalFromU64(k63), 0.5);
 }
 
 TEST(Clock, AdvancesMonotonically) {

@@ -41,9 +41,12 @@
 #      rollup must byte-match across --threads 1/2/8 and shard sizes,
 #      and BENCH_channel.json (min-of-3 per thread count)
 #      (docs/channels.md)
-#  10. one build+test leg per sanitizer: ASan, UBSan, TSan (the TSan
+#  10. one build+test leg per sanitizer: ASan, UBSan, TSan, each also
+#      naming the bit-exact kernel tests (Rng vs std, AVX2 vs scalar
+#      FFT, cached vs uncached correlation) (the TSan
 #      leg gets real cross-thread traffic from concurrency_stress_test,
-#      executor_test, fft_plan_test, fault_matrix_test,
+#      executor_test, fft_plan_test (plan and template-spectrum caches
+#      at 8 threads), fault_matrix_test,
 #      security_matrix_test, channel_matrix_test - the shared-scene
 #      mixer under contention - and the fleet multiplexer at
 #      WEARLOCK_THREADS=8, and a parallel bench sweep)
@@ -322,13 +325,22 @@ for san in "${SANITIZERS[@]}"; do
   # Tier-1 (the full suite, per ROADMAP) including the obs suites.
   TSAN_OPTIONS="halt_on_error=1" \
       ctest --test-dir "build-$san" --output-on-failure
+  # The bit-exact kernels by name, so the log shows them run under every
+  # sanitizer: the Rng against std::mt19937_64/normal_distribution, the
+  # AVX2 FFT against the scalar loop, cached against uncached correlation.
+  banner "$san: bit-exact kernels"
+  TSAN_OPTIONS="halt_on_error=1" "build-$san/tests/sim_test" \
+      --gtest_filter='Rng.*'
+  TSAN_OPTIONS="halt_on_error=1" "build-$san/tests/fft_plan_test" \
+      --gtest_filter='Sizes/PlanVsLegacy.*:FftKernels.*:CorrelationTemplate.*'
   if [[ "$san" == "thread" ]]; then
     # Extra TSan traffic through the executor: the determinism tests on
     # a wide pool, plus one real parallel sweep.
     banner "TSan: executor under WEARLOCK_THREADS=8"
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/executor_test"
-    # PlanCache::Get under real contention (8 threads x shared plans).
+    # PlanCache::Get under real contention (8 threads x shared plans),
+    # and 8 threads using a shared template's spectrum cache first.
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/fft_plan_test"
     # The fault matrix's cross-thread determinism leg on a wide pool.

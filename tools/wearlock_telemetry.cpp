@@ -22,6 +22,8 @@
 // by more than --threshold (absolute rate), or its p99 total latency
 // grows by more than the same threshold as a fraction. Exit 0 = no
 // regression, 1 = regression found, 2 = usage or I/O error.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -50,6 +52,23 @@ int Usage() {
                "  wearlock_telemetry --diff a.json b.json "
                "[--threshold 0.02]\n");
   return 2;
+}
+
+// --threshold: the whole token must parse as a finite number >= 0
+// (std::from_chars; the banned-api lint rejects atof, which read a
+// missing or junk value as 0).
+bool ParseThreshold(const std::string& text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    std::fprintf(stderr, "--threshold wants a finite number >= 0, got '%s'\n",
+                 text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -104,28 +123,38 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
+    // The flag's value; a flag with none is a usage error (exit 2).
+    auto next = [&](std::string* value) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+        return false;
+      }
+      *value = argv[++i];
+      return true;
+    };
+    std::string value;
     if (arg == "--records") {
-      record_paths.emplace_back(next());
+      if (!next(&value)) return Usage();
+      record_paths.push_back(value);
     } else if (arg == "--rollup") {
-      rollup_paths.emplace_back(next());
+      if (!next(&value)) return Usage();
+      rollup_paths.push_back(value);
     } else if (arg == "--out") {
-      out_path = next();
+      if (!next(&out_path)) return Usage();
     } else if (arg == "--cohorts") {
       print_cohorts = true;
     } else if (arg == "--percentiles") {
-      const std::string spec = next();
-      if (spec.rfind("stage=", 0) != 0 || spec.size() <= 6) {
+      if (!next(&value)) return Usage();
+      if (value.rfind("stage=", 0) != 0 || value.size() <= 6) {
         std::fprintf(stderr, "--percentiles wants stage=<name>\n");
         return 2;
       }
-      percentile_stage = spec.substr(6);
+      percentile_stage = value.substr(6);
     } else if (arg == "--diff") {
-      diff_a = next();
-      diff_b = next();
+      if (!next(&diff_a) || !next(&diff_b)) return Usage();
       if (diff_a.empty() || diff_b.empty()) return Usage();
     } else if (arg == "--threshold") {
-      threshold = std::atof(next());
+      if (!next(&value) || !ParseThreshold(value, &threshold)) return Usage();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Usage();
