@@ -1,15 +1,16 @@
 #include "bench_util.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/json.h"
+#include "sim/parse.h"
 
 namespace wearlock::bench {
 
@@ -79,39 +80,34 @@ const char* WearlockGitSha() {
 #endif
 }
 
-std::size_t ParseCount(const char* s) {
-  std::size_t parsed = 0;
-  const auto result = std::from_chars(s, s + std::strlen(s), parsed);
-  if (result.ec != std::errc() || *result.ptr != '\0') {
-    std::fprintf(stderr, "bench: cannot parse count '%s'\n", s);
-    std::exit(2);
-  }
-  return parsed;
-}
-
 }  // namespace
 
 BenchOptions ParseBenchArgs(int argc, char** argv, std::uint64_t base_seed) {
   BenchOptions options;
   options.base_seed = base_seed;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--quick") == 0) {
-      options.quick = true;
-    } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      options.threads = ParseCount(argv[++i]);
-    } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-      options.base_seed = ParseCount(argv[++i]);
-    } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
-      options.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "bench: unknown flag '%s'\n"
-                   "usage: %s [--threads N] [--quick] [--seed S] "
-                   "[--json PATH]\n",
-                   arg, argv[0]);
-      std::exit(2);
+  try {
+    for (sim::ArgCursor args(argc, argv); args.Next();) {
+      if (args.arg() == "--quick") {
+        options.quick = true;
+      } else if (args.arg() == "--threads") {
+        options.threads = args.Number<std::size_t>(
+            0, sim::ParallelExecutor::kMaxThreads);
+      } else if (args.arg() == "--seed") {
+        options.base_seed = args.Number<std::uint64_t>(
+            0, std::numeric_limits<std::uint64_t>::max());
+      } else if (args.arg() == "--json") {
+        options.json_path = args.Value();
+      } else {
+        throw std::invalid_argument("unknown flag '" + args.arg() + "'");
+      }
     }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr,
+                 "bench: %s\n"
+                 "usage: %s [--threads N] [--quick] [--seed S] "
+                 "[--json PATH]\n",
+                 error.what(), argv[0]);
+    std::exit(2);
   }
   return options;
 }

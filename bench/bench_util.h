@@ -45,8 +45,9 @@ std::string Cat(std::initializer_list<std::string_view> parts);
 void Banner(const std::string& title);
 
 /// The flags every bench binary accepts:
-///   --threads N   worker threads for the sweep engine (0 = default:
-///                 WEARLOCK_THREADS env var, else hardware_concurrency)
+///   --threads N   worker threads for the sweep engine, 0..1024 (0 =
+///                 default: WEARLOCK_THREADS env var, else
+///                 hardware_concurrency)
 ///   --quick       smoke mode: 1 round per point, grids trimmed to 2
 ///                 points per axis (the ctest `bench_smoke` label)
 ///   --seed S      override the bench's base seed
@@ -69,8 +70,9 @@ struct BenchOptions {
   }
 };
 
-/// Parse the shared bench flags. Unknown flags print usage to stderr and
-/// exit(2) so typos cannot silently run the wrong experiment.
+/// Parse the shared bench flags. An unknown flag, a missing value or a
+/// bad number prints usage to stderr and exits 2, so typos cannot
+/// silently run the wrong experiment.
 BenchOptions ParseBenchArgs(int argc, char** argv, std::uint64_t base_seed);
 
 /// SweepRunner: fan a bench's independent grid points out across a

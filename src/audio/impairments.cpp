@@ -12,6 +12,7 @@
 #include "dsp/spl.h"
 #include "obs/instrument.h"
 #include "obs/json.h"
+#include "sim/parse.h"
 
 namespace wearlock::audio {
 namespace {
@@ -35,22 +36,6 @@ constexpr std::size_t kNeighborCandidateBins[] = {16, 17, 18, 20, 21, 22,
                                                   24, 25, 26, 28, 29, 30};
 constexpr std::size_t kNeighborFftSize = 256;
 
-double ParseNumber(const std::string& entry, const std::string& text) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("ImpairmentPlan: bad number in '" + entry +
-                                "'");
-  }
-  if (used != text.size()) {
-    throw std::invalid_argument("ImpairmentPlan: trailing junk in '" + entry +
-                                "'");
-  }
-  return v;
-}
-
 std::string Fmt(const char* format, double a, double b = 0.0) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), format, a, b);
@@ -67,67 +52,29 @@ bool ImpairmentPlan::empty() const {
 ImpairmentPlan ImpairmentPlan::Parse(const std::string& spec) {
   ImpairmentPlan plan;
   plan.spec = spec;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
-
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("ImpairmentPlan: expected key=value, got '" +
-                                  entry + "'");
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    if (key == "sro") {
-      plan.sro_ppm = ParseNumber(entry, value);
-      if (plan.sro_ppm < 0.0 || plan.sro_ppm > 500.0) {
-        throw std::invalid_argument(
-            "ImpairmentPlan: sro ppm out of [0,500] in '" + entry + "'");
-      }
-    } else if (key == "doppler") {
-      plan.doppler_mps = ParseNumber(entry, value);
-      if (std::abs(plan.doppler_mps) > 5.0) {
-        throw std::invalid_argument(
-            "ImpairmentPlan: |doppler| > 5 m/s in '" + entry + "'");
-      }
-    } else if (key == "reverb") {
-      plan.reverb_rt60_ms = ParseNumber(entry, value);
-      if (plan.reverb_rt60_ms < 0.0 || plan.reverb_rt60_ms > 2000.0) {
-        throw std::invalid_argument(
-            "ImpairmentPlan: reverb RT60 out of [0,2000] ms in '" + entry +
-            "'");
-      }
-    } else if (key == "burst") {
-      std::string p = value;
-      const std::size_t x = value.find('x');
+  for (const sim::SpecEntry& entry :
+       sim::SpecEntries("ImpairmentPlan", spec, ',')) {
+    if (entry.text.empty()) continue;
+    if (!entry.has_value) entry.Reject("expected key=value");
+    if (entry.key == "sro") {
+      plan.sro_ppm = entry.Number(0.0, 500.0);
+    } else if (entry.key == "doppler") {
+      plan.doppler_mps = entry.Number(-5.0, 5.0);
+    } else if (entry.key == "reverb") {
+      plan.reverb_rt60_ms = entry.Number(0.0, 2000.0);
+    } else if (entry.key == "burst") {
+      const std::size_t x = entry.value.find('x');
       if (x != std::string::npos) {
-        p = value.substr(0, x);
-        plan.burst_mult = ParseNumber(entry, value.substr(x + 1));
-        if (plan.burst_mult < 1.0) {
-          throw std::invalid_argument(
-              "ImpairmentPlan: burst multiplier must be >= 1 in '" + entry +
-              "'");
-        }
+        plan.burst_mult =
+            entry.Number(entry.value.substr(x + 1), 1.0, sim::kFiniteMax);
       }
-      plan.burst_p = ParseNumber(entry, p);
-      if (plan.burst_p < 0.0 || plan.burst_p > 1.0) {
-        throw std::invalid_argument(
-            "ImpairmentPlan: burst probability out of [0,1] in '" + entry +
-            "'");
-      }
-    } else if (key == "pairs") {
-      const double n = ParseNumber(entry, value);
-      if (n < 0.0 || n > 64.0 || n != std::floor(n)) {
-        throw std::invalid_argument(
-            "ImpairmentPlan: pairs must be an integer in [0,64] in '" + entry +
-            "'");
-      }
+      plan.burst_p = entry.Number(entry.value.substr(0, x), 0.0, 1.0);
+    } else if (entry.key == "pairs") {
+      const double n = entry.Number(0.0, 64.0);
+      if (n != std::floor(n)) entry.Reject("pairs must be an integer");
       plan.pairs = static_cast<std::size_t>(n);
     } else {
-      throw std::invalid_argument("ImpairmentPlan: unknown key '" + key + "'");
+      entry.Reject("unknown key '" + entry.key + "'");
     }
   }
   return plan;

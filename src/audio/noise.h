@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "audio/signal.h"
+#include "sim/parse.h"
 #include "sim/rng.h"
 
 namespace wearlock::audio {
@@ -30,6 +31,13 @@ enum class Environment {
 };
 
 std::string ToString(Environment env);
+
+/// The environments' command-line names, shared by every --env(s) flag.
+inline constexpr sim::Named<Environment> kEnvironmentNames[] = {
+    {"quiet", Environment::kQuietRoom}, {"office", Environment::kOffice},
+    {"classroom", Environment::kClassroom}, {"cafe", Environment::kCafe},
+    {"grocery", Environment::kGroceryStore},
+};
 
 struct NoiseProfile {
   double spl_db = 17.0;          ///< target ambient SPL

@@ -5,34 +5,17 @@
 
 #include "obs/instrument.h"
 #include "obs/json.h"
+#include "sim/parse.h"
 
 namespace wearlock::sim {
 namespace {
 
-double ParseNumber(const std::string& entry, const std::string& text) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("AttackSpec: bad number in '" + entry + "'");
-  }
-  if (used != text.size()) {
-    throw std::invalid_argument("AttackSpec: trailing junk in '" + entry +
-                                "'");
-  }
-  return v;
-}
-
-AttackKind KindFromName(const std::string& spec, const std::string& name) {
-  if (name == "eavesdrop") return AttackKind::kEavesdrop;
-  if (name == "replay") return AttackKind::kReplay;
-  if (name == "relay") return AttackKind::kRelay;
-  if (name == "probe") return AttackKind::kProbe;
-  if (name == "overshadow") return AttackKind::kOvershadow;
-  throw std::invalid_argument("AttackSpec: unknown attack '" + name +
-                              "' in '" + spec + "'");
-}
+// The kinds' names, in the spec grammar and in every report.
+constexpr Named<AttackKind> kAttackKinds[] = {
+    {"eavesdrop", AttackKind::kEavesdrop}, {"replay", AttackKind::kReplay},
+    {"relay", AttackKind::kRelay},         {"probe", AttackKind::kProbe},
+    {"overshadow", AttackKind::kOvershadow},
+};
 
 // Each kind's default geometry/electronics, so "relay" alone is a
 // sensible attack and the grammar only names what it overrides.
@@ -63,12 +46,8 @@ void ApplyKindDefaults(AttackSpec& out) {
 }  // namespace
 
 std::string ToString(AttackKind kind) {
-  switch (kind) {
-    case AttackKind::kEavesdrop: return "eavesdrop";
-    case AttackKind::kReplay: return "replay";
-    case AttackKind::kRelay: return "relay";
-    case AttackKind::kProbe: return "probe";
-    case AttackKind::kOvershadow: return "overshadow";
+  for (const Named<AttackKind>& named : kAttackKinds) {
+    if (named.value == kind) return std::string(named.name);
   }
   return "?";
 }
@@ -81,52 +60,30 @@ AttackSpec AttackSpec::Parse(const std::string& spec) {
   out.spec = spec;
 
   // KIND[@DISTANCE][:key=value]...
-  std::size_t opts_pos = spec.find(':');
-  const std::string head = spec.substr(0, std::min(opts_pos, spec.size()));
-  const std::size_t at = head.find('@');
-  out.kind = KindFromName(spec, head.substr(0, at));
+  const std::vector<SpecEntry> entries = SpecEntries("AttackSpec", spec, ':');
+  const SpecEntry& head = entries.front();
+  const std::size_t at = head.text.find('@');
+  out.kind = ParseName(head.text.substr(0, at), kAttackKinds,
+                       "AttackSpec '" + spec + "'");
   ApplyKindDefaults(out);
   if (at != std::string::npos) {
-    out.distance_m = ParseNumber(head, head.substr(at + 1));
-    if (out.distance_m <= 0.0) {
-      throw std::invalid_argument("AttackSpec: distance must be > 0 in '" +
-                                  spec + "'");
-    }
+    // The same (0, 1000] m bound as every CLI distance.
+    out.distance_m = head.Number(head.text.substr(at + 1), kAboveZero, 1000.0);
   }
 
-  while (opts_pos != std::string::npos) {
-    const std::size_t start = opts_pos + 1;
-    opts_pos = spec.find(':', start);
-    const std::string entry =
-        spec.substr(start, std::min(opts_pos, spec.size()) - start);
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("AttackSpec: expected key=value, got '" +
-                                  entry + "' in '" + spec + "'");
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    const SpecEntry& entry = entries[i];
+    if (!entry.has_value || entry.key.empty()) {
+      entry.Reject("expected key=value");
     }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    if (key == "gain") {
-      out.gain_db = ParseNumber(entry, value);
-      if (out.gain_db < -40.0 || out.gain_db > 80.0) {
-        throw std::invalid_argument(
-            "AttackSpec: gain out of [-40,80] dB in '" + entry + "'");
-      }
-    } else if (key == "delay") {
-      out.handling_delay_ms = ParseNumber(entry, value);
-      if (out.handling_delay_ms < 0.0) {
-        throw std::invalid_argument("AttackSpec: negative delay in '" + entry +
-                                    "'");
-      }
-    } else if (key == "level") {
-      out.level = ParseNumber(entry, value);
-      if (out.level <= 0.0) {
-        throw std::invalid_argument("AttackSpec: level must be > 0 in '" +
-                                    entry + "'");
-      }
+    if (entry.key == "gain") {
+      out.gain_db = entry.Number(-40.0, 80.0);
+    } else if (entry.key == "delay") {
+      out.handling_delay_ms = entry.Number(0.0, kFiniteMax);
+    } else if (entry.key == "level") {
+      out.level = entry.Number(kAboveZero, kFiniteMax);
     } else {
-      throw std::invalid_argument("AttackSpec: unknown key '" + key +
-                                  "' in '" + spec + "'");
+      entry.Reject("unknown key '" + entry.key + "'");
     }
   }
   return out;

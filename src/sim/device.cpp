@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#include "sim/parse.h"
 
 namespace wearlock::sim {
 namespace {
@@ -14,13 +13,8 @@ namespace {
 std::atomic<double>& FixedHostTiming() {
   // Seeded once from the environment so CLIs and ctest gates can arm
   // deterministic timing without plumbing a flag through every layer.
-  static std::atomic<double> fixed_ms{[] {
-    const char* env = std::getenv("WEARLOCK_FIXED_HOST_MS");
-    if (env == nullptr) return -1.0;
-    double parsed = -1.0;
-    std::from_chars(env, env + std::strlen(env), parsed);
-    return parsed;
-  }()};
+  static std::atomic<double> fixed_ms{
+      EnvNumber("WEARLOCK_FIXED_HOST_MS", 0.0, kFiniteMax).value_or(-1.0)};
   return fixed_ms;
 }
 

@@ -59,7 +59,8 @@ Millis TimeHostMs(const std::function<void()>& work);
 /// the same seed would report different compute_ms. Arming this makes
 /// every TimeHostMs call report `ms` (>= 0); a negative value restores
 /// real measurement. Also armed by the WEARLOCK_FIXED_HOST_MS
-/// environment variable, read once at first use. Set before spawning
+/// environment variable (a number >= 0; anything else keeps measuring),
+/// read once at first use. Set before spawning
 /// campaign workers; flipping it mid-Map is a determinism bug.
 void SetFixedHostTimingMs(double ms);
 /// The armed fixed value, or a negative sentinel when measuring.

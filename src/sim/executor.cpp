@@ -1,9 +1,8 @@
 #include "sim/executor.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
+
+#include "sim/parse.h"
 
 namespace wearlock::sim {
 
@@ -26,13 +25,9 @@ ParallelExecutor::~ParallelExecutor() {
 }
 
 std::size_t ParallelExecutor::DefaultThreadCount() {
-  if (const char* env = std::getenv("WEARLOCK_THREADS")) {
-    std::size_t parsed = 0;
-    const auto result =
-        std::from_chars(env, env + std::strlen(env), parsed);
-    if (result.ec == std::errc() && *result.ptr == '\0' && parsed > 0) {
-      return parsed;
-    }
+  if (const std::optional<std::size_t> threads = EnvNumber<std::size_t>(
+          "WEARLOCK_THREADS", 1, kMaxThreads)) {
+    return *threads;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

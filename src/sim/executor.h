@@ -63,7 +63,11 @@ class ParallelExecutor {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// WEARLOCK_THREADS when set to a positive integer, else
+  /// The most threads any setting may ask for: every --threads flag and
+  /// WEARLOCK_THREADS.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// WEARLOCK_THREADS when set to an integer in [1, kMaxThreads], else
   /// hardware_concurrency() (minimum 1).
   static std::size_t DefaultThreadCount();
 

@@ -5,34 +5,9 @@
 
 #include "obs/instrument.h"
 #include "obs/json.h"
+#include "sim/parse.h"
 
 namespace wearlock::sim {
-namespace {
-
-double ParseNumber(const std::string& entry, const std::string& text) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad number in '" + entry + "'");
-  }
-  if (used != text.size()) {
-    throw std::invalid_argument("FaultPlan: trailing junk in '" + entry + "'");
-  }
-  return v;
-}
-
-double ParseProbability(const std::string& entry, const std::string& text) {
-  const double p = ParseNumber(entry, text);
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("FaultPlan: probability out of [0,1] in '" +
-                                entry + "'");
-  }
-  return p;
-}
-
-}  // namespace
 
 std::string ToString(FaultKind kind) {
   switch (kind) {
@@ -58,72 +33,42 @@ bool FaultPlan::empty() const {
 FaultPlan FaultPlan::Parse(const std::string& spec) {
   FaultPlan plan;
   plan.spec = spec;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
+  for (const SpecEntry& entry : SpecEntries("FaultPlan", spec, ',')) {
+    if (entry.text.empty()) continue;
 
-    if (entry.rfind("flap@", 0) == 0) {
-      std::string stage = entry.substr(5);
+    if (entry.text.starts_with("flap@")) {
+      std::string_view stage = std::string_view(entry.text).substr(5);
       const std::size_t colon = stage.find(':');
-      if (colon != std::string::npos) {
-        plan.flap_down_ms = ParseNumber(entry, stage.substr(colon + 1));
-        if (plan.flap_down_ms < 0.0) {
-          throw std::invalid_argument("FaultPlan: negative outage in '" +
-                                      entry + "'");
-        }
+      if (colon != std::string_view::npos) {
+        plan.flap_down_ms = entry.Number(stage.substr(colon + 1), 0.0,
+                                         kFiniteMax);
         stage = stage.substr(0, colon);
       }
-      if (stage.empty()) {
-        throw std::invalid_argument("FaultPlan: empty stage in '" + entry +
-                                    "'");
-      }
+      if (stage.empty()) entry.Reject("empty stage");
       plan.flap_stage = stage;
       continue;
     }
 
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("FaultPlan: expected key=value or "
-                                  "flap@stage, got '" + entry + "'");
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    if (key == "drop") {
-      plan.message_drop_p = ParseProbability(entry, value);
-    } else if (key == "dup") {
-      plan.message_dup_p = ParseProbability(entry, value);
-    } else if (key == "spike") {
-      const std::size_t x = value.find('x');
+    if (!entry.has_value) entry.Reject("expected key=value or flap@stage");
+    if (entry.key == "drop") {
+      plan.message_drop_p = entry.Number(0.0, 1.0);
+    } else if (entry.key == "dup") {
+      plan.message_dup_p = entry.Number(0.0, 1.0);
+    } else if (entry.key == "spike") {
+      const std::size_t x = entry.value.find('x');
+      plan.delay_spike_p = entry.Number(entry.value.substr(0, x), 0.0, 1.0);
       if (x != std::string::npos) {
-        plan.delay_spike_p = ParseProbability(entry, value.substr(0, x));
-        plan.delay_spike_mult = ParseNumber(entry, value.substr(x + 1));
-        if (plan.delay_spike_mult < 1.0) {
-          throw std::invalid_argument(
-              "FaultPlan: spike multiplier must be >= 1 in '" + entry + "'");
-        }
-      } else {
-        plan.delay_spike_p = ParseProbability(entry, value);
+        plan.delay_spike_mult =
+            entry.Number(entry.value.substr(x + 1), 1.0, kFiniteMax);
       }
-    } else if (key == "trunc") {
-      plan.recording_truncate_keep = ParseNumber(entry, value);
-      if (plan.recording_truncate_keep <= 0.0 ||
-          plan.recording_truncate_keep > 1.0) {
-        throw std::invalid_argument(
-            "FaultPlan: trunc keep-fraction out of (0,1] in '" + entry + "'");
-      }
-    } else if (key == "clip") {
-      plan.recording_clip_level = ParseNumber(entry, value);
-      if (plan.recording_clip_level <= 0.0) {
-        throw std::invalid_argument("FaultPlan: clip level must be > 0 in '" +
-                                    entry + "'");
-      }
-    } else if (key == "recdrop") {
-      plan.recording_drop_p = ParseProbability(entry, value);
+    } else if (entry.key == "trunc") {
+      plan.recording_truncate_keep = entry.Number(kAboveZero, 1.0);
+    } else if (entry.key == "clip") {
+      plan.recording_clip_level = entry.Number(kAboveZero, kFiniteMax);
+    } else if (entry.key == "recdrop") {
+      plan.recording_drop_p = entry.Number(0.0, 1.0);
     } else {
-      throw std::invalid_argument("FaultPlan: unknown key '" + key + "'");
+      entry.Reject("unknown key '" + entry.key + "'");
     }
   }
   return plan;

@@ -401,6 +401,14 @@ TEST(ImpairmentPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(ImpairmentPlan::Parse("pairs=-1"), std::invalid_argument);
   EXPECT_THROW(ImpairmentPlan::Parse("sro=50,unknown=1"),
                std::invalid_argument);
+  // Numbers are plain finite decimals: no nan, inf, sign prefix,
+  // whitespace or hex.
+  for (const char* spec :
+       {"sro=nan", "sro=inf", "sro=-nan", "sro=+50", "sro= 50", "sro=0x10",
+        "doppler=nan", "doppler=-inf", "reverb=inf", "burst=nan",
+        "burst=0.3xnan", "burst=0.3xinf", "pairs=nan", "pairs=0x1p1"}) {
+    EXPECT_THROW(ImpairmentPlan::Parse(spec), std::invalid_argument) << spec;
+  }
 }
 
 // --- Tg-vs-reverberation guard (scene build validation) --------------

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/executor.h"
@@ -208,11 +209,18 @@ TEST(ParallelExecutor, WearlockThreadsEnvOverride) {
   sim::ParallelExecutor from_env(0);
   EXPECT_EQ(from_env.thread_count(), 3u);
 
-  // Invalid or non-positive values fall back to hardware concurrency.
-  ::setenv("WEARLOCK_THREADS", "banana", 1);
-  EXPECT_GE(sim::ParallelExecutor::DefaultThreadCount(), 1u);
-  ::setenv("WEARLOCK_THREADS", "0", 1);
-  EXPECT_GE(sim::ParallelExecutor::DefaultThreadCount(), 1u);
+  // Invalid, non-positive or over-bound values fall back to hardware
+  // concurrency. Only the count is read here: no executor is built
+  // from them.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t fallback = hw > 0 ? hw : 1;
+  for (const char* value : {"banana", "0", "-3", "+3", " 3", "3x", "1e1",
+                            "100000"}) {
+    ::setenv("WEARLOCK_THREADS", value, 1);
+    EXPECT_EQ(sim::ParallelExecutor::DefaultThreadCount(), fallback) << value;
+  }
+  ::setenv("WEARLOCK_THREADS", "1024", 1);
+  EXPECT_EQ(sim::ParallelExecutor::DefaultThreadCount(), 1024u);
 
   if (saved) {
     ::setenv("WEARLOCK_THREADS", saved_value.c_str(), 1);

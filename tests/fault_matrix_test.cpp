@@ -384,6 +384,15 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(sim::FaultPlan::Parse("flap@"), std::invalid_argument);
   EXPECT_THROW(sim::FaultPlan::Parse("clip=-1"), std::invalid_argument);
   EXPECT_THROW(sim::FaultPlan::Parse("drop=abc"), std::invalid_argument);
+  // Numbers are plain finite decimals: no nan, inf, sign prefix,
+  // whitespace or hex.
+  for (const char* spec :
+       {"drop=nan", "drop=-nan", "dup=inf", "drop=+0.5", "drop= 0.5",
+        "drop=0.5 ", "drop=0x1p-1", "spike=0.2xnan", "spike=0.2xinf",
+        "flap@rts:nan", "flap@rts:inf", "trunc=nan", "clip=inf",
+        "recdrop=nan"}) {
+    EXPECT_THROW(sim::FaultPlan::Parse(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(SoftCombinerTest, SumsLlrsAndDecidesOnTheSum) {

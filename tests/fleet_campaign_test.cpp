@@ -14,7 +14,8 @@
 // ~20x slower) and overridable with WEARLOCK_CAMPAIGN_SESSIONS for
 // quick local runs or bigger soak campaigns.
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "protocol/session.h"
 #include "sim/device.h"
 #include "sim/executor.h"
+#include "sim/parse.h"
 
 namespace wearlock {
 namespace {
@@ -68,9 +70,10 @@ ScenarioConfig ConfigFor(const Cell& cell) {
 }
 
 std::size_t CampaignSessions() {
-  if (const char* env = std::getenv("WEARLOCK_CAMPAIGN_SESSIONS")) {
-    const long parsed = std::atol(env);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+  if (const std::optional<std::size_t> sessions = sim::EnvNumber<std::size_t>(
+          "WEARLOCK_CAMPAIGN_SESSIONS", 1,
+          std::numeric_limits<std::size_t>::max())) {
+    return *sessions;
   }
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   return 600;  // sanitizer legs: keep the gate, trim the wall clock

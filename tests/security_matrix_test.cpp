@@ -526,6 +526,15 @@ TEST(AttackSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(AttackSpec::Parse("eavesdrop:wat=1"), std::invalid_argument);
   EXPECT_THROW(AttackSpec::Parse("eavesdrop:"), std::invalid_argument);
   EXPECT_THROW(AttackSpec::Parse("eavesdrop:gain"), std::invalid_argument);
+  // Numbers are plain finite decimals: no nan, inf, sign prefix,
+  // whitespace or hex; distances keep the CLIs' (0, 1000] m bound.
+  for (const char* spec :
+       {"eavesdrop@nan", "eavesdrop@inf", "eavesdrop@-nan", "eavesdrop@+2",
+        "eavesdrop@ 2", "eavesdrop@0x1p1", "eavesdrop@1e9", "relay:delay= 3",
+        "relay:delay=nan", "relay:delay=inf", "relay:gain=nan",
+        "probe:level=inf", "overshadow:level=+2"}) {
+    EXPECT_THROW(AttackSpec::Parse(spec), std::invalid_argument) << spec;
+  }
 }
 
 }  // namespace

@@ -7,12 +7,16 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/clock.h"
 #include "sim/device.h"
 #include "sim/faults.h"
+#include "sim/parse.h"
 #include "sim/rng.h"
 #include "sim/wireless.h"
 
@@ -278,6 +282,83 @@ TEST(Faults, EmptyPlanInjectorIsTheBareLink) {
   EXPECT_FALSE(wrapped.connected());
   EXPECT_FALSE(inert.flap_down());
   EXPECT_TRUE(inert.events().empty());
+}
+
+TEST(Parse, NumbersArePlainFiniteDecimalsInRange) {
+  EXPECT_EQ(TryParseNumber("-1.2", -5.0, 5.0), -1.2);
+  EXPECT_EQ(TryParseNumber("1e-3", 0.0, 1.0), 1e-3);
+  EXPECT_EQ(TryParseNumber<int>("3", 1, 3), 3);
+  for (const char* bad : {"", "nan", "-nan", "inf", "-inf", "infinity",
+                          "+0.5", " 0.5", "0.5 ", "0x1p-1", "0.5x", "1e400"}) {
+    EXPECT_FALSE(TryParseNumber(bad, -kFiniteMax, kFiniteMax)) << bad;
+  }
+  EXPECT_FALSE(TryParseNumber("0", kAboveZero, 1.0));
+  EXPECT_FALSE(TryParseNumber<int>("4", 1, 3));
+  EXPECT_FALSE(TryParseNumber<std::size_t>("-1", 0, 10));
+  EXPECT_EQ(RangeText(kAboveZero, 1000.0), "(0, 1000]");
+  EXPECT_EQ(RangeText(1.0, kFiniteMax), "[1, inf)");
+  EXPECT_EQ(RangeText<int>(0, 64), "[0, 64]");
+  EXPECT_THROW(ParseNumber("abc", 0.0, 1.0, "--x"), std::invalid_argument);
+}
+
+TEST(Parse, SpecLiteralsRoundLikeTheCompiler) {
+  // The literals of every committed spec and CLI replay: a parser that
+  // rounded one differently would move a golden.
+  const struct {
+    const char* text;
+    double value;
+  } kLiterals[] = {{"0.3", 0.3},   {"0.35", 0.35}, {"0.6", 0.6},
+                   {"0.25", 0.25}, {"0.4", 0.4},   {"0.7", 0.7},
+                   {"1.4", 1.4},   {"-1.2", -1.2}, {"4.5", 4.5},
+                   {"1.25", 1.25}, {"3.0", 3.0},   {"0.5", 0.5},
+                   {"1.5", 1.5},   {"2.0", 2.0},   {"0.2", 0.2},
+                   {"0.05", 0.05}, {"0.1", 0.1},   {"0.8", 0.8},
+                   {"0.9", 0.9},   {"1.0", 1.0},   {"0.300000", 0.3},
+                   {"1e-3", 1e-3}};
+  for (const auto& literal : kLiterals) {
+    const std::optional<double> parsed =
+        TryParseNumber(literal.text, -kFiniteMax, kFiniteMax);
+    ASSERT_TRUE(parsed) << literal.text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*parsed),
+              std::bit_cast<std::uint64_t>(literal.value))
+        << literal.text;
+  }
+}
+
+TEST(Parse, ListsKeepEmptyItemsAndEntriesSplitAtTheFirstEquals) {
+  EXPECT_EQ(SplitList("", '|'), std::vector<std::string>{""});
+  EXPECT_EQ(SplitList("a,,b,", ','),
+            (std::vector<std::string>{"a", "", "b", ""}));
+  const std::vector<SpecEntry> entries =
+      SpecEntries("FaultPlan", "drop=0.3,flap@rts,k=a=b", ',');
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].key, "drop");
+  EXPECT_EQ(entries[0].Number(0.0, 1.0), 0.3);
+  EXPECT_FALSE(entries[1].has_value);
+  EXPECT_EQ(entries[1].key, "flap@rts");
+  EXPECT_EQ(entries[2].value, "a=b");
+  EXPECT_THROW((void)entries[0].Number(0.5, 1.0), std::invalid_argument);
+}
+
+TEST(Parse, ArgCursorThrowsOnAMissingOrMalformedValue) {
+  char prog[] = "tool", threads[] = "--threads", four[] = "4",
+       distance[] = "--distance", junk[] = "abc", trace[] = "--trace";
+  char* argv[] = {prog, threads, four, distance, junk, trace};
+  ArgCursor args(6, argv);
+  ASSERT_TRUE(args.Next());
+  EXPECT_EQ(args.arg(), "--threads");
+  EXPECT_EQ(args.Number<std::size_t>(0, 1024), 4u);
+  ASSERT_TRUE(args.Next());
+  EXPECT_THROW((void)args.Number(kAboveZero, 1000.0), std::invalid_argument);
+  ASSERT_TRUE(args.Next());
+  EXPECT_EQ(args.arg(), "--trace");
+  EXPECT_THROW((void)args.Value(), std::invalid_argument);
+  EXPECT_FALSE(args.Next());
+
+  constexpr Named<int> kNames[] = {{"one", 1}, {"two", 2}};
+  EXPECT_EQ(ParseName("two", kNames, "--n"), 2);
+  EXPECT_THROW((void)ParseName("three", kNames, "--n"),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -158,12 +158,6 @@ build/tools/wearlock_unlock_cli \
 diff <(sed 's/"at_ms":[0-9.eE+-]*/"at_ms":0/' build/attack-trace.jsonl) \
      tests/golden/relay_attack_trace.jsonl
 echo "CLI attack replay matches the committed golden trace"
-# Malformed specs must fail closed with a usage error, not run unattacked.
-if build/tools/wearlock_unlock_cli --attack bogus 2>/dev/null; then
-  echo "malformed --attack spec was accepted" >&2
-  exit 1
-fi
-echo "malformed --attack spec rejected"
 # The attacker-success decay figure is a pure function of the seed.
 build/bench/attack_distance --quick --threads 1 >build/attack-t1.out
 build/bench/attack_distance --quick --threads 8 >build/attack-t8.out
@@ -246,11 +240,8 @@ build/tools/wearlock_unlock_cli \
 diff <(sed 's/"at_ms":[0-9.eE+-]*/"at_ms":0/' build/channel-trace.jsonl) \
      tests/golden/impaired_unlock_trace.jsonl
 echo "CLI impaired replay matches the committed golden trace"
-# Malformed specs must fail closed with a usage error on both CLIs.
-if build/tools/wearlock_unlock_cli --impairments bogus 2>/dev/null; then
-  echo "malformed --impairments spec was accepted by wearlock_unlock_cli" >&2
-  exit 1
-fi
+# Malformed specs must fail closed with a usage error (the unlock CLI's
+# cases are ctest unlock_cli_rejects_*).
 if build/tools/wearlock_fleet --sessions 3 --impairments '|sro=900' \
     --out build/never.json 2>/dev/null; then
   echo "malformed --impairments spec was accepted by wearlock_fleet" >&2

@@ -148,6 +148,20 @@ TEST(BannedApiTest, FlagsStdioAndUnsafeCalls) {
   }
 }
 
+TEST(BannedApiTest, FlagsLenientNumberParsersOutsideSrcToo) {
+  for (const char* parser : {"std::stod", "std::stof", "std::stoi", "std::stol",
+                             "std::stoul", "std::stoull", "strtod", "strtol",
+                             "strtoul", "strtoull"}) {
+    const auto diags =
+        RunAllOn("tools/x.cpp", std::string("auto v = ") + parser + "(s);\n");
+    EXPECT_TRUE(HasRule(diags, "banned-api")) << parser;
+  }
+  EXPECT_FALSE(HasRule(RunAllOn("tools/x.cpp",
+                                "void f() { std::from_chars(b, e, v); }\n"
+                                "int stoi_count = 0;\n"),
+                       "banned-api"));
+}
+
 TEST(BannedApiTest, SafeVariantsAndDeletedFunctionsPass) {
   const auto diags = RunAllOn(
       "src/modem/x.cpp",

@@ -75,7 +75,8 @@ const std::vector<RuleInfo>& AllRules() {
        "banned; use sim::VirtualClock and sim::Rng"},
       {"banned-api",
        "no stdio writes outside src/obs/log.cpp, no "
-       "sprintf/strcpy/strcat/gets/atoi, no raw new/delete"},
+       "sprintf/strcpy/strcat/gets/atoi, no stod/strtol-family number "
+       "parsing (use sim/parse.h), no raw new/delete"},
       {"header-hygiene",
        "headers open with #pragma once (or an include guard) and must be "
        "self-contained (enforced via generated one-include TUs)"},
@@ -166,6 +167,8 @@ void CheckBannedApi(const SourceFile& file, std::vector<Diagnostic>* out) {
     bool stdio;  ///< exempt inside the sanctioned log sink
     const char* hint;
   };
+  constexpr const char* kParseHint =
+      "lenient (whitespace, '+', nan, inf); use sim/parse.h";
   static const Pattern kPatterns[] = {
       {"cout", false, true, "library code logs through obs::Log"},
       {"cerr", false, true, "library code logs through obs::Log"},
@@ -178,9 +181,19 @@ void CheckBannedApi(const SourceFile& file, std::vector<Diagnostic>* out) {
       {"strcpy", true, false, "unbounded; use std::string or snprintf"},
       {"strcat", true, false, "unbounded; use std::string"},
       {"gets", true, false, "unbounded; never safe"},
-      {"atoi", true, false, "silent on error; use std::from_chars"},
-      {"atol", true, false, "silent on error; use std::from_chars"},
-      {"atof", true, false, "silent on error; use std::from_chars"},
+      {"atoi", true, false, "silent on error; use sim/parse.h"},
+      {"atol", true, false, "silent on error; use sim/parse.h"},
+      {"atof", true, false, "silent on error; use sim/parse.h"},
+      {"stod", true, false, kParseHint},
+      {"stof", true, false, kParseHint},
+      {"stoi", true, false, kParseHint},
+      {"stol", true, false, kParseHint},
+      {"stoul", true, false, kParseHint},
+      {"stoull", true, false, kParseHint},
+      {"strtod", true, false, kParseHint},
+      {"strtol", true, false, kParseHint},
+      {"strtoul", true, false, kParseHint},
+      {"strtoull", true, false, kParseHint},
   };
   for (const Pattern& p : kPatterns) {
     if (p.stdio && stdio_exempt) continue;

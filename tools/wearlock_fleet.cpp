@@ -17,20 +17,20 @@
 // byte-diff against tests/golden/fleet_rollup.json. --faults/--attacks/
 // --impairments take '|'-separated spec lists (specs contain commas);
 // an empty element means "none", and cells cross-product over every
-// element. --impairments elements are validated up front (exit 2 on a
-// malformed or out-of-range spec); --pairs N adds N contending WearLock
-// pairs to every impaired cell (docs/channels.md).
+// element. Every element is parsed up front: a malformed or out-of-range
+// spec exits 2, like a missing value or a bad number or name in any
+// flag. --pairs N adds N contending WearLock pairs to every impaired
+// cell (docs/channels.md).
 //
 // --out writes the rollup document ("-" or unset = stdout). --summary
 // prints per-cohort unlock/false-accept Wilson CIs and campaign
 // throughput (sessions/sec, wall-clock) to stderr; timing lives on
 // stderr so stdout stays byte-stable for CI diffs.
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,146 +38,81 @@
 
 #include "audio/impairments.h"
 #include "protocol/fleet.h"
+#include "sim/adversary.h"
 #include "sim/executor.h"
+#include "sim/parse.h"
 
 namespace {
 using namespace wearlock;
 using protocol::CampaignResult;
 using protocol::CampaignSpec;
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: wearlock_fleet [--sessions N] [--seed S] [--threads T]\n"
-      "                      [--retries R] [--configs 1,2,3]\n"
-      "                      [--envs quiet,office] [--distances 0.3,0.6]\n"
-      "                      [--impostor-every N] [--faults SPEC|SPEC...]\n"
-      "                      [--attacks SPEC|SPEC...]\n"
-      "                      [--impairments SPEC|SPEC...] [--pairs N]\n"
-      "                      [--shard-size N] [--out rollup.json]\n"
-      "                      [--summary]\n");
-  return 2;
-}
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
 
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  const auto result = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return result.ec == std::errc() && result.ptr == s.data() + s.size();
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  const auto result = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return result.ec == std::errc() && result.ptr == s.data() + s.size();
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream in(s);
-  while (std::getline(in, item, sep)) out.push_back(item);
-  if (out.empty()) out.push_back("");
-  return out;
-}
-
-bool ParseEnvName(const std::string& s, audio::Environment* out) {
-  if (s == "quiet") { *out = audio::Environment::kQuietRoom; return true; }
-  if (s == "office") { *out = audio::Environment::kOffice; return true; }
-  if (s == "classroom") { *out = audio::Environment::kClassroom; return true; }
-  if (s == "cafe") { *out = audio::Environment::kCafe; return true; }
-  if (s == "grocery") {
-    *out = audio::Environment::kGroceryStore;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   CampaignSpec spec;
   spec.sessions = 100000;
   std::size_t threads = 0;
   std::string out_path;
   bool summary = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? std::string(argv[++i]) : std::string();
-    };
-    std::uint64_t u = 0;
+  for (sim::ArgCursor args(argc, argv); args.Next();) {
+    const std::string& arg = args.arg();
     if (arg == "--sessions") {
-      if (!ParseU64(next(), &u)) return Usage();
-      spec.sessions = static_cast<std::size_t>(u);
+      spec.sessions = args.Number<std::size_t>(1, kU64Max);
     } else if (arg == "--seed") {
-      if (!ParseU64(next(), &spec.seed)) return Usage();
+      spec.seed = args.Number<std::uint64_t>(0, kU64Max);
     } else if (arg == "--threads") {
-      if (!ParseU64(next(), &u)) return Usage();
-      threads = static_cast<std::size_t>(u);
+      threads = args.Number<std::size_t>(0, sim::ParallelExecutor::kMaxThreads);
     } else if (arg == "--retries") {
-      if (!ParseU64(next(), &u)) return Usage();
-      spec.max_retries = static_cast<int>(u);
+      spec.max_retries = args.Number(0, 1000);
     } else if (arg == "--impostor-every") {
-      if (!ParseU64(next(), &u)) return Usage();
-      spec.impostor_every = static_cast<std::size_t>(u);
+      spec.impostor_every = args.Number<std::size_t>(0, kU64Max);
     } else if (arg == "--shard-size") {
-      if (!ParseU64(next(), &u) || u == 0) return Usage();
-      spec.sessions_per_shard = static_cast<std::size_t>(u);
+      spec.sessions_per_shard = args.Number<std::size_t>(1, kU64Max);
     } else if (arg == "--configs") {
       spec.configs.clear();
-      for (const std::string& item : Split(next(), ',')) {
-        if (!ParseU64(item, &u) || u < 1 || u > 3) return Usage();
-        spec.configs.push_back(static_cast<int>(u));
+      for (const std::string& item : sim::SplitList(args.Value(), ',')) {
+        spec.configs.push_back(sim::ParseNumber(item, 1, 3, arg));
       }
     } else if (arg == "--envs") {
       spec.environments.clear();
-      for (const std::string& item : Split(next(), ',')) {
-        audio::Environment env = audio::Environment::kQuietRoom;
-        if (!ParseEnvName(item, &env)) return Usage();
-        spec.environments.push_back(env);
+      for (const std::string& item : sim::SplitList(args.Value(), ',')) {
+        spec.environments.push_back(
+            sim::ParseName(item, audio::kEnvironmentNames, arg));
       }
     } else if (arg == "--distances") {
       spec.distances_m.clear();
-      for (const std::string& item : Split(next(), ',')) {
-        double d = 0.0;
-        if (!ParseDouble(item, &d) || d <= 0.0) return Usage();
-        spec.distances_m.push_back(d);
+      for (const std::string& item : sim::SplitList(args.Value(), ',')) {
+        // The (0, 1000] m bound of wearlock_unlock_cli --distance.
+        spec.distances_m.push_back(
+            sim::ParseNumber(item, sim::kAboveZero, 1000.0, arg));
       }
     } else if (arg == "--faults") {
-      spec.fault_specs = Split(next(), '|');
+      spec.fault_specs = sim::SplitList(args.Value(), '|');
     } else if (arg == "--attacks") {
-      spec.attack_specs = Split(next(), '|');
+      spec.attack_specs = sim::SplitList(args.Value(), '|');
     } else if (arg == "--impairments") {
-      spec.impairment_specs = Split(next(), '|');
-      // Validate eagerly: a malformed spec should be a usage error at
-      // the shell, not an exception mid-campaign on a worker thread.
-      for (const std::string& item : spec.impairment_specs) {
-        if (item.empty()) continue;
-        try {
-          const audio::ImpairmentPlan parsed =
-              audio::ImpairmentPlan::Parse(item);
-          (void)parsed;
-        } catch (const std::invalid_argument& e) {
-          std::fprintf(stderr, "bad --impairments element \"%s\": %s\n",
-                       item.c_str(), e.what());
-          return Usage();
-        }
-      }
+      spec.impairment_specs = sim::SplitList(args.Value(), '|');
     } else if (arg == "--pairs") {
-      if (!ParseU64(next(), &u) || u > 64) return Usage();
-      spec.contention_pairs = static_cast<int>(u);
+      spec.contention_pairs = args.Number(0, 64);
     } else if (arg == "--out") {
-      out_path = next();
+      out_path = args.Value();
     } else if (arg == "--summary") {
       summary = true;
     } else {
-      return Usage();
+      throw std::invalid_argument("unknown flag " + arg +
+                                  " (see the usage in the header comment)");
     }
   }
-  if (spec.sessions == 0 || spec.configs.empty() ||
-      spec.environments.empty() || spec.distances_m.empty() ||
-      spec.fault_specs.empty() || spec.attack_specs.empty() ||
-      spec.impairment_specs.empty()) {
-    return Usage();
+  // Parse every element once up front: a malformed one is a usage
+  // error even when no session of its cell would run.
+  for (const std::string& s : spec.fault_specs) (void)sim::FaultPlan::Parse(s);
+  for (const std::string& s : spec.impairment_specs) {
+    (void)audio::ImpairmentPlan::Parse(s);
+  }
+  for (const std::string& s : spec.attack_specs) {
+    if (!s.empty()) (void)sim::AttackSpec::Parse(s);
   }
 
   // Wall clock for the stderr throughput line only; stays available
@@ -223,4 +158,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sim::RunCli("wearlock_fleet", argc, argv, Run);
 }

@@ -14,10 +14,11 @@
 // SessionRecord for the transaction (config "modem-<command>",
 // host-clock total_ms), so modem experiments land in the same
 // wearlock_telemetry pipeline as unlock campaigns.
+//
+// An unknown modulation or code name, a flag missing its value, or a
+// --threads that is not an integer in [0, 1024] exits 2.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -31,25 +32,23 @@
 #include "obs/record.h"
 #include "obs/trace.h"
 #include "sim/executor.h"
+#include "sim/parse.h"
 
 namespace {
 
 using namespace wearlock;
 
-modem::Modulation ParseModulation(const char* s) {
-  if (std::strcmp(s, "qask") == 0) return modem::Modulation::kQask;
-  if (std::strcmp(s, "8psk") == 0) return modem::Modulation::k8Psk;
-  if (std::strcmp(s, "bpsk") == 0) return modem::Modulation::kBpsk;
-  if (std::strcmp(s, "bask") == 0) return modem::Modulation::kBask;
-  if (std::strcmp(s, "16qam") == 0) return modem::Modulation::k16Qam;
-  return modem::Modulation::kQpsk;
-}
+constexpr sim::Named<modem::Modulation> kModulations[] = {
+    {"qpsk", modem::Modulation::kQpsk}, {"qask", modem::Modulation::kQask},
+    {"8psk", modem::Modulation::k8Psk}, {"bpsk", modem::Modulation::kBpsk},
+    {"bask", modem::Modulation::kBask}, {"16qam", modem::Modulation::k16Qam},
+};
 
-modem::CodeScheme ParseCode(const char* s) {
-  if (std::strcmp(s, "hamming") == 0) return modem::CodeScheme::kHamming74;
-  if (std::strcmp(s, "rep3") == 0) return modem::CodeScheme::kRepetition3;
-  return modem::CodeScheme::kNone;
-}
+constexpr sim::Named<modem::CodeScheme> kCodes[] = {
+    {"none", modem::CodeScheme::kNone},
+    {"hamming", modem::CodeScheme::kHamming74},
+    {"rep3", modem::CodeScheme::kRepetition3},
+};
 
 int Usage() {
   std::fprintf(stderr,
@@ -89,9 +88,7 @@ int RegenGolden(std::size_t threads) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   // Pull the telemetry/parallelism flags out; everything else stays
   // positional.
   std::string trace_path;
@@ -99,26 +96,37 @@ int main(int argc, char** argv) {
   std::string session_log_path;
   std::size_t threads = 0;  // 0 = WEARLOCK_THREADS or hardware default
   bool regen_golden = false;
-  std::vector<char*> pos;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--session-log") == 0 && i + 1 < argc) {
-      session_log_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--regen-golden") == 0) {
+  std::vector<std::string> pos;  // pos[0] is the command
+  for (sim::ArgCursor args(argc, argv); args.Next();) {
+    if (args.arg() == "--trace") {
+      trace_path = args.Value();
+    } else if (args.arg() == "--metrics") {
+      metrics_path = args.Value();
+    } else if (args.arg() == "--session-log") {
+      session_log_path = args.Value();
+    } else if (args.arg() == "--threads") {
+      threads = args.Number<std::size_t>(0, sim::ParallelExecutor::kMaxThreads);
+    } else if (args.arg() == "--regen-golden") {
       regen_golden = true;
     } else {
-      pos.push_back(argv[i]);
+      pos.push_back(args.arg());
     }
   }
-  argc = static_cast<int>(pos.size()) + 1;
-  for (int i = 1; i < argc; ++i) argv[i] = pos[i - 1];
 
   if (regen_golden) return RegenGolden(threads);
+  if (pos.size() < 2) return Usage();
+  const std::string& command = pos[0];
+  // send <text> <out.wav> [mod] [code] | recv <in.wav> [mod] [code]
+  const std::size_t mod_at = command == "send" ? 3 : 2;
+  const bool names_mod =
+      (command == "send" || command == "recv") && pos.size() > mod_at;
+  modem::DatagramConfig config;
+  if (names_mod) {
+    config.modulation = sim::ParseName(pos[mod_at], kModulations, "modulation");
+  }
+  if (names_mod && pos.size() > mod_at + 1) {
+    config.code = sim::ParseName(pos[mod_at + 1], kCodes, "code");
+  }
 
   // Host-clock tracer: this tool has no virtual time.
   const auto t0 = std::chrono::steady_clock::now();
@@ -144,36 +152,27 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (argc < 3) return Usage();
-  const std::string command = argv[1];
   modem::AcousticModem acoustic_modem;
 
   auto run = [&]() -> int {
   try {
-    if (command == "send" && argc >= 4) {
-      modem::DatagramConfig config;
-      if (argc >= 5) config.modulation = ParseModulation(argv[4]);
-      if (argc >= 6) config.code = ParseCode(argv[5]);
-      const std::string text = argv[2];
-      const std::vector<std::uint8_t> payload(text.begin(), text.end());
+    if (command == "send" && pos.size() >= 3) {
+      const std::vector<std::uint8_t> payload(pos[1].begin(), pos[1].end());
       const auto tx = modem::SendDatagram(acoustic_modem, config, payload);
-      audio::WriteWav(argv[3], tx.samples);
+      audio::WriteWav(pos[2], tx.samples);
       std::printf("wrote %zu samples (%.2f s, %zu OFDM symbols, %s/%s) to %s\n",
                   tx.samples.size(),
                   static_cast<double>(tx.samples.size()) / audio::kSampleRate,
                   tx.n_symbols, ToString(config.modulation).c_str(),
-                  ToString(config.code).c_str(), argv[3]);
+                  ToString(config.code).c_str(), pos[2].c_str());
       return 0;
     }
     if (command == "recv") {
-      modem::DatagramConfig config;
-      if (argc >= 4) config.modulation = ParseModulation(argv[3]);
-      if (argc >= 5) config.code = ParseCode(argv[4]);
-      const audio::WavData wav = audio::ReadWav(argv[2]);
+      const audio::WavData wav = audio::ReadWav(pos[1]);
       const auto result =
           modem::ReceiveDatagram(acoustic_modem, config, wav.samples);
       if (!result) {
-        std::printf("no frame found in %s\n", argv[2]);
+        std::printf("no frame found in %s\n", pos[1].c_str());
         return 1;
       }
       const std::string text(result->payload.begin(), result->payload.end());
@@ -183,7 +182,7 @@ int main(int argc, char** argv) {
       return result->crc_ok ? 0 : 1;
     }
     if (command == "spectrogram") {
-      const audio::WavData wav = audio::ReadWav(argv[2]);
+      const audio::WavData wav = audio::ReadWav(pos[1]);
       const auto spec = dsp::ComputeSpectrogram(wav.samples);
       std::printf("%s", dsp::RenderAscii(spec).c_str());
       std::printf("%zu frames x %zu bins, %.1f Hz/bin, %.1f ms/frame\n",
@@ -194,9 +193,9 @@ int main(int argc, char** argv) {
     }
     if (command == "probe") {
       const auto tx = acoustic_modem.MakeProbeFrame();
-      audio::WriteWav(argv[2], tx.samples);
+      audio::WriteWav(pos[1], tx.samples);
       std::printf("wrote RTS probe frame (%zu samples) to %s\n",
-                  tx.samples.size(), argv[2]);
+                  tx.samples.size(), pos[1].c_str());
       return 0;
     }
   } catch (const std::exception& e) {
@@ -217,10 +216,7 @@ int main(int argc, char** argv) {
     record.total_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    if ((command == "send" && argc >= 5) || (command == "recv" && argc >= 4)) {
-      record.mode = ToString(
-          ParseModulation(argv[command == "send" ? 4 : 3]));
-    }
+    if (names_mod) record.mode = ToString(config.modulation);
     std::ofstream os(session_log_path, std::ios::app);
     if (!os) {
       std::fprintf(stderr, "cannot open %s\n", session_log_path.c_str());
@@ -231,4 +227,10 @@ int main(int argc, char** argv) {
                  session_log_path.c_str());
   }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sim::RunCli("wearlock_modem_cli", argc, argv, Run);
 }

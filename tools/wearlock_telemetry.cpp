@@ -22,10 +22,7 @@
 // by more than --threshold (absolute rate), or its p99 total latency
 // grows by more than the same threshold as a fraction. Exit 0 = no
 // regression, 1 = regression found, 2 = usage or I/O error.
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -34,6 +31,7 @@
 #include <vector>
 
 #include "obs/rollup.h"
+#include "sim/parse.h"
 
 namespace {
 
@@ -52,23 +50,6 @@ int Usage() {
                "  wearlock_telemetry --diff a.json b.json "
                "[--threshold 0.02]\n");
   return 2;
-}
-
-// --threshold: the whole token must parse as a finite number >= 0
-// (std::from_chars; the banned-api lint rejects atof, which read a
-// missing or junk value as 0).
-bool ParseThreshold(const std::string& text, double* out) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
-      value < 0.0) {
-    std::fprintf(stderr, "--threshold wants a finite number >= 0, got '%s'\n",
-                 text.c_str());
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -109,9 +90,7 @@ void PrintInterval(const char* label, const WilsonInterval& w,
               w.high, static_cast<unsigned long long>(trials));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   std::vector<std::string> record_paths;
   std::vector<std::string> rollup_paths;
   std::string out_path;
@@ -121,40 +100,29 @@ int main(int argc, char** argv) {
   double threshold = 0.02;
   bool print_cohorts = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // The flag's value; a flag with none is a usage error (exit 2).
-    auto next = [&](std::string* value) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        return false;
-      }
-      *value = argv[++i];
-      return true;
-    };
-    std::string value;
+  for (wearlock::sim::ArgCursor args(argc, argv); args.Next();) {
+    const std::string& arg = args.arg();
     if (arg == "--records") {
-      if (!next(&value)) return Usage();
-      record_paths.push_back(value);
+      record_paths.push_back(args.Value());
     } else if (arg == "--rollup") {
-      if (!next(&value)) return Usage();
-      rollup_paths.push_back(value);
+      rollup_paths.push_back(args.Value());
     } else if (arg == "--out") {
-      if (!next(&out_path)) return Usage();
+      out_path = args.Value();
     } else if (arg == "--cohorts") {
       print_cohorts = true;
     } else if (arg == "--percentiles") {
-      if (!next(&value)) return Usage();
+      const std::string value = args.Value();
       if (value.rfind("stage=", 0) != 0 || value.size() <= 6) {
         std::fprintf(stderr, "--percentiles wants stage=<name>\n");
         return 2;
       }
       percentile_stage = value.substr(6);
     } else if (arg == "--diff") {
-      if (!next(&diff_a) || !next(&diff_b)) return Usage();
+      diff_a = args.Value();
+      diff_b = args.Value();
       if (diff_a.empty() || diff_b.empty()) return Usage();
     } else if (arg == "--threshold") {
-      if (!next(&value) || !ParseThreshold(value, &threshold)) return Usage();
+      threshold = args.Number(0.0, wearlock::sim::kFiniteMax);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Usage();
@@ -282,4 +250,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return wearlock::sim::RunCli("wearlock_telemetry", argc, argv, Run);
 }

@@ -66,9 +66,7 @@
 // other flag whatever its position: `--env cafe --config 2` runs Config2
 // in the cafe. A flag missing its value, an unknown --env/--activity
 // name, or a number that does not parse or is out of range exits 2.
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -82,44 +80,17 @@
 #include "protocol/session.h"
 #include "sim/adversary.h"
 #include "sim/executor.h"
+#include "sim/parse.h"
 
 namespace {
 using namespace wearlock;
 using namespace wearlock::protocol;
 
-// A usage error; main reports it and exits 2.
-[[noreturn]] void BadValue(const std::string& flag, const std::string& value) {
-  throw std::invalid_argument("bad value for " + flag + ": '" + value + "'");
-}
-
-audio::Environment ParseEnv(const std::string& s) {
-  if (s == "quiet") return audio::Environment::kQuietRoom;
-  if (s == "office") return audio::Environment::kOffice;
-  if (s == "classroom") return audio::Environment::kClassroom;
-  if (s == "cafe") return audio::Environment::kCafe;
-  if (s == "grocery") return audio::Environment::kGroceryStore;
-  BadValue("--env", s);
-}
-
-sensors::Activity ParseActivity(const std::string& s) {
-  if (s == "sitting") return sensors::Activity::kSitting;
-  if (s == "walking") return sensors::Activity::kWalking;
-  if (s == "running") return sensors::Activity::kRunning;
-  BadValue("--activity", s);
-}
-
-// The whole token must parse (std::from_chars; the banned-api lint
-// rejects atoi/atof) and land in [lo, hi].
-template <typename T>
-T ParseNumber(const std::string& flag, const std::string& text, T lo, T hi) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
-    BadValue(flag, text);
-  }
-  return value;
-}
+constexpr sim::Named<sensors::Activity> kActivities[] = {
+    {"sitting", sensors::Activity::kSitting},
+    {"walking", sensors::Activity::kWalking},
+    {"running", sensors::Activity::kRunning},
+};
 
 // Writes `text` to `path` unless the path is empty.
 void WriteOutput(const std::string& path, const std::string& text) {
@@ -132,12 +103,8 @@ void WriteOutput(const std::string& path, const std::string& text) {
 // The base scenario --config names; Config1 runs at 0.3 m.
 ScenarioConfig BaseConfig(int argc, char** argv) {
   int n = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--config") != 0) continue;
-    if (i + 1 >= argc) {
-      throw std::invalid_argument("missing value for --config");
-    }
-    n = ParseNumber(argv[i], argv[i + 1], 1, 3);
+  for (sim::ArgCursor args(argc, argv); args.Next();) {
+    if (args.arg() == "--config") n = args.Number(1, 3);
   }
   if (n == 2) return ScenarioConfig::Config2();
   if (n == 3) return ScenarioConfig::Config3();
@@ -179,17 +146,13 @@ int Run(int argc, char** argv) {
   std::string channel_trace_path;
   std::string session_log_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::invalid_argument("missing value for " + arg);
-      return argv[++i];
-    };
+  for (sim::ArgCursor args(argc, argv); args.Next();) {
+    const std::string& arg = args.arg();
     if (arg == "--env") {
-      config.scene.environment = ParseEnv(next());
+      config.scene.environment =
+          sim::ParseName(args.Value(), audio::kEnvironmentNames, arg);
     } else if (arg == "--distance") {
-      config.scene.distance_m = ParseNumber(arg, next(), 0.0, 1000.0);
-      if (config.scene.distance_m <= 0.0) BadValue(arg, argv[i]);
+      config.scene.distance_m = args.Number(sim::kAboveZero, 1000.0);
     } else if (arg == "--same-hand") {
       config.scene.distance_m = 0.15;
       config.scene.propagation = audio::PropagationSpec::BodyBlockedNlos();
@@ -201,38 +164,38 @@ int Run(int argc, char** argv) {
     } else if (arg == "--no-link") {
       config.wireless_connected = false;
     } else if (arg == "--config") {
-      (void)next();  // applied first, by BaseConfig
+      (void)args.Value();  // applied first, by BaseConfig
     } else if (arg == "--activity") {
-      config.activity = ParseActivity(next());
+      config.activity = sim::ParseName(args.Value(), kActivities, arg);
     } else if (arg == "--attempts") {
-      attempts = ParseNumber(arg, next(), 1, 1'000'000);
+      attempts = args.Number(1, 1'000'000);
     } else if (arg == "--retries") {
-      retries = ParseNumber(arg, next(), 0, 1000);
+      retries = args.Number(0, 1000);
     } else if (arg == "--threads") {
       threads_set = true;
-      threads = ParseNumber<std::size_t>(arg, next(), 0, 1024);
+      threads = args.Number<std::size_t>(0, sim::ParallelExecutor::kMaxThreads);
       if (threads == 0) threads = sim::ParallelExecutor::DefaultThreadCount();
     } else if (arg == "--session-log") {
-      session_log_path = next();
+      session_log_path = args.Value();
     } else if (arg == "--seed") {
-      config.seed = ParseNumber(arg, next(), std::uint64_t{0},
+      config.seed = args.Number(std::uint64_t{0},
                                 std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--faults") {
-      config.faults = sim::FaultPlan::Parse(next());
+      config.faults = sim::FaultPlan::Parse(args.Value());
     } else if (arg == "--attack") {
-      config.attack = sim::AttackSpec::Parse(next());
+      config.attack = sim::AttackSpec::Parse(args.Value());
     } else if (arg == "--impairments") {
-      config.impairments = audio::ImpairmentPlan::Parse(next());
+      config.impairments = audio::ImpairmentPlan::Parse(args.Value());
     } else if (arg == "--channel-trace") {
-      channel_trace_path = next();
+      channel_trace_path = args.Value();
     } else if (arg == "--attack-trace") {
-      attack_trace_path = next();
+      attack_trace_path = args.Value();
     } else if (arg == "--fault-trace") {
-      fault_trace_path = next();
+      fault_trace_path = args.Value();
     } else if (arg == "--trace") {
-      trace_path = next();
+      trace_path = args.Value();
     } else if (arg == "--metrics") {
-      metrics_path = next();
+      metrics_path = args.Value();
     } else if (arg == "--verbose") {
       obs::SetLogSink(obs::StderrLogSink());
       obs::SetLogThreshold(obs::LogLevel::kDebug);
@@ -400,10 +363,5 @@ int Run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return Run(argc, argv);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "wearlock_unlock_cli: %s\n", error.what());
-    return 2;
-  }
+  return sim::RunCli("wearlock_unlock_cli", argc, argv, Run);
 }
