@@ -6,9 +6,10 @@
 //   replay       -> OTP freshness + the acoustic timing window
 //
 // Build & run:  ./build/examples/example_attack_demo
+#include <algorithm>
 #include <cstdio>
 
-#include "protocol/attacks.h"
+#include "protocol/attack_agents.h"
 
 int main() {
   using namespace wearlock;
@@ -36,10 +37,14 @@ int main() {
   for (double d : {3.0, 2.0, 1.4, 0.8, 0.4}) {
     ScenarioConfig scenario = ScenarioConfig::Config1();
     scenario.seed = 31;
-    const auto result = CoLocatedAttack(scenario, d);
+    scenario.scene.distance_m = d;
+    // The attacker holds still next to a still victim: motion gets
+    // through, and the modem's range bound does the work.
+    scenario.phone.enable_sensor_filter = false;
+    const UnlockReport report = UnlockSession(scenario).Attempt();
     std::printf("  %.1f m: %-16s (token BER %.3f)%s\n", d,
-                ToString(result.outcome).c_str(), result.token_ber,
-                result.unlocked ? "  <- inside the secure range" : "");
+                ToString(report.outcome).c_str(), report.token_ber,
+                report.unlocked ? "  <- inside the secure range" : "");
   }
   std::printf("  The modem itself is the rangefinder: beyond ~1 m no mode\n"
               "  meets the BER bound, so the phone refuses to transmit.\n\n");
@@ -50,15 +55,20 @@ int main() {
   {
     ScenarioConfig scenario = ScenarioConfig::Config1();
     scenario.seed = 32;
-    const auto slow = ReplayAttack(scenario, 0.6, /*replay_delay_ms=*/800.0);
+    const AttackReport slow =
+        RunAttackScenario(scenario, sim::AttackSpec::Parse("replay@0.6:delay=800"));
+    const bool taped = std::any_of(
+        slow.events.begin(), slow.events.end(),
+        [](const sim::AttackEvent& e) { return e.stage == "capture"; });
     std::printf("  capture succeeded    : %s\n",
-                slow.capture_succeeded ? "yes (the channel is public)" : "no");
+                taped ? "yes (the channel is public)" : "no");
     std::printf("  replay w/ 800 ms lag : %s\n",
-                ToString(slow.replay_outcome).c_str());
-    const auto instant = ReplayAttack(scenario, 0.6, /*replay_delay_ms=*/0.0);
+                ToString(slow.victim_outcome).c_str());
+    const AttackReport instant =
+        RunAttackScenario(scenario, sim::AttackSpec::Parse("replay@0.6:delay=0"));
     std::printf("  hypothetical 0-lag   : %s (stale token, BER %.2f)\n",
-                ToString(instant.replay_outcome).c_str(),
-                instant.replay_token_ber);
+                ToString(instant.victim_outcome).c_str(),
+                instant.attacker_token_ber);
   }
   std::printf("  Every unlock burns its counter: the recorded token never\n"
               "  validates again, and real replay gear adds detectable lag.\n");

@@ -69,9 +69,9 @@ bool JsonValue::BoolOr(bool fallback) const {
 
 namespace {
 
-/// Recursive-descent parser over the same grammar tests/json_check.h
-/// validates (RFC 8259), plus a depth cap so corrupt telemetry files
-/// cannot blow the stack.
+/// Recursive-descent parser over the RFC 8259 grammar, plus a depth cap
+/// so corrupt telemetry files cannot blow the stack. The tests also use
+/// it as their JSON well-formedness check.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}

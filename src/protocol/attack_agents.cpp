@@ -192,9 +192,8 @@ class RelayAgent : public AttackAgent {
     scenario.attack = spec_;
     scenario.scene.distance_m = spec_.distance_m;
     // The wearer is elsewhere; the attacker holds the stolen phone
-    // still (worst case for the motion filter, as attacks.h's
-    // co-located attacker) inside the same large room (worst case for
-    // the ambient filter).
+    // still (worst case for the motion filter) inside the same large
+    // room (worst case for the ambient filter).
     scenario.same_body = false;
     scenario.phone.enable_sensor_filter = false;
     UnlockSession session(scenario);
@@ -381,6 +380,33 @@ std::unique_ptr<AttackAgent> MakeAttackAgent(const sim::AttackSpec& spec) {
 AttackReport RunAttackScenario(const ScenarioConfig& scenario,
                                const sim::AttackSpec& spec) {
   return MakeAttackAgent(spec)->Execute(scenario);
+}
+
+BruteForceResult BruteForceAttack(OtpService& otp, Keyguard& keyguard,
+                                  sim::Rng& rng, double required_ber,
+                                  std::size_t max_attempts) {
+  BruteForceResult result;
+  // The validator needs issued tokens to compare against; a deployment
+  // always has at least the current one outstanding.
+  otp.NextTokenBits();
+  for (std::size_t i = 0; i < max_attempts; ++i) {
+    if (!keyguard.CanAttemptWearlock()) {
+      result.locked_out = keyguard.state() == LockState::kLockedOut;
+      break;
+    }
+    ++result.attempts;
+    const std::uint32_t guess =
+        static_cast<std::uint32_t>(rng.UniformInt(0, 0xFFFFFFFFull));
+    const TokenValidation v =
+        otp.ValidateBits(modem::BitsFromWord(guess), required_ber);
+    if (v.accepted) {
+      result.succeeded = true;
+      keyguard.ReportSuccess();
+      break;
+    }
+    keyguard.ReportFailure();
+  }
+  return result;
 }
 
 }  // namespace wearlock::protocol

@@ -20,8 +20,12 @@
 //                emitted during Phase 2 (disruption/recon, no forgery).
 //   overshadow - AIC-style injection: a forged OFDM frame with guessed
 //                token bits overpowering the legitimate one.
+//
+// BruteForceAttack is the one attacker that never touches the acoustic
+// channel: it fires token guesses straight at the validator.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -84,5 +88,18 @@ class AttackAgent {
 /// One-call convenience: build the agent and execute it.
 [[nodiscard]] AttackReport RunAttackScenario(const ScenarioConfig& scenario,
                                              const sim::AttackSpec& spec);
+
+struct BruteForceResult {
+  std::size_t attempts = 0;
+  bool succeeded = false;
+  bool locked_out = false;
+};
+
+/// The attacker holds the phone out of acoustic range and fires random
+/// 32-bit token guesses at the validator. The 3-strike keyguard policy
+/// locks WearLock out long before the 2^32 keyspace matters.
+BruteForceResult BruteForceAttack(OtpService& otp, Keyguard& keyguard,
+                                  sim::Rng& rng, double required_ber = 0.1,
+                                  std::size_t max_attempts = 100);
 
 }  // namespace wearlock::protocol

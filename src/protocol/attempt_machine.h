@@ -10,6 +10,11 @@
 // UnlockSession::Attempt() drives one machine on a private queue to
 // completion.
 //
+// The protocol body is one function per Fig. 2 stage (LinkCheck,
+// RtsCts, ProbeStage, Filters, RangeGate, DistanceBounding, SelectMode,
+// Phase2Rounds) over one toolkit: Charge, Send (the one retransmission
+// loop), Offload (upload, degrade, cost and energy), Backoff and Fail.
+//
 // Every control message and upload takes one transport path, through
 // a sim::FaultInjector. A caller that wires none gets an inert one (an
 // empty plan whose Rng is never drawn), so fault-free sessions see the
@@ -30,10 +35,12 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 
 #include "audio/scene.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "protocol/acoustic_mac.h"
 #include "protocol/phone_controller.h"
 #include "sensors/filter.h"
 #include "sim/clock.h"
@@ -107,8 +114,52 @@ class AttemptMachine {
 
   /// Root span, protocol body, verdict span, end-of-attempt metrics.
   sim::CoTask<> Run();
-  /// The protocol body, one co_await per modeled wait.
-  sim::CoTask<UnlockReport> RunInner();
+  /// The protocol body: the stages in order, until one ends the attempt.
+  sim::CoTask<> RunStages();
+
+  /// What the probe stage hands the filters and mode selection.
+  struct ProbeResult {
+    audio::Samples phone_ambient;  ///< pre-signal windows of both sides
+    audio::Samples watch_ambient;
+    Phase1Report phase1;  ///< the watch's probe recording + sensor trace
+    std::optional<modem::ProbeAnalysis> probe;
+  };
+
+  // Stages, in protocol order. Each returns the outcome that ends the
+  // attempt (already set through Fail), or nullopt to go on.
+  using StageResult = std::optional<UnlockOutcome>;
+  using Stage = sim::CoTask<StageResult>;
+  StageResult LinkCheck();
+  Stage RtsCts();
+  Stage ProbeStage(const modem::AcousticModem& modem, ProbeResult& probed);
+  StageResult Filters(const ProbeResult& probed, double& required_ber,
+                      bool& skip_phase2);
+  StageResult RangeGate();
+  Stage DistanceBounding();
+  Stage SelectMode(modem::AcousticModem& modem,
+                   const modem::ProbeAnalysis& probe, double required_ber,
+                   Phase2Config& p2);
+  Stage Phase2Rounds(const modem::AcousticModem& modem, const Phase2Config& p2,
+                     double required_ber);
+
+  // Toolkit shared by the stages.
+  /// A modeled wait on seed-derived time: counts toward proto_ms_.
+  WaitAwaiter Charge(sim::Millis ms);
+  sim::Millis TotalLeft() const;
+  void Trace(const std::string& step, const std::string& detail);
+  /// Set the attempt's outcome, logging `step` when given.
+  StageResult Fail(UnlockOutcome outcome, const char* step = nullptr,
+                   const std::string& detail = "");
+  StageResult Unlock();
+  void MaybeDegrade();
+  sim::CoTask<> Backoff(int attempt, sim::Millis& comm_ms);
+  bool OutOfRetries(int round, int max_retransmits) const;
+  /// A control message, or with `transfer_ms` set a bulk upload.
+  Stage Send(const char* stage, sim::Millis& comm_ms,
+             sim::Millis* transfer_ms = nullptr, std::size_t bytes = 0);
+  Stage Offload(int phase, std::size_t samples, sim::Millis host_ms,
+                std::function<void()> work, StepCost* cost);
+  sim::CoTask<bool> AcquireBand(const char* stage, sim::Millis& audio_ms);
 
   const PhoneConfig& config_;
   OtpService* otp_;
@@ -127,12 +178,31 @@ class AttemptMachine {
   /// ARQ and degrade policy on: a caller-supplied injector and no
   /// force_transmit campaign mode.
   const bool resilient_;
+  audio::ChannelImpairments* const chan_;  ///< null on a clean scene
+  /// Crowded-world hardening (docs/channels.md). Every hardening branch
+  /// is gated on the scene actually having channel impairments armed,
+  /// so clean scenes take the exact pre-existing path and consume the
+  /// exact pre-existing scene draws (the PR-3/4/5/8 goldens pin this).
+  const bool hardened_;
   sim::EventQueue& queue_;
   AttemptHooks hooks_;
 
   sim::CoTask<> root_;
   sim::EventQueue::EventId pending_event_ = 0;
   UnlockReport report_;
+  /// Deterministic protocol-time accumulator: audio, communication and
+  /// waits - everything modeled from the seed - but NOT host-measured
+  /// compute, whose virtual charge varies with machine load. Budget and
+  /// deadline decisions run on this accumulator, so a seed's fault
+  /// handling replays bit-identically at any thread count (the
+  /// 1-vs-8-thread gate in tests/fault_matrix_test.cpp); the virtual
+  /// clock still carries compute for the latency reports.
+  sim::Millis proto_ms_ = 0.0;
+  OffloadPlanner effective_ = offload_;  ///< after the degrade ladder
+  int link_faults_ = 0;
+  std::optional<CarrierSenseReport> sense_;  ///< feeds reselection
+  double compensate_ppm_ = 0.0;  ///< warp undone on Phase-2 captures
+  int sync_failures_ = 0;
   bool done_ = false;
   bool notified_ = false;
 };

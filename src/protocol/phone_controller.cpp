@@ -1,6 +1,7 @@
 #include "protocol/phone_controller.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -30,16 +31,9 @@ std::string ToString(UnlockOutcome outcome) {
   return "?";
 }
 
-sim::Millis ResilienceConfig::BackoffMs(int attempt) const {
-  sim::Millis backoff = backoff_base_ms;
-  for (int i = 0; i < attempt && backoff < backoff_max_ms; ++i) backoff *= 2.0;
-  return std::min(backoff, backoff_max_ms);
-}
-
-sim::Millis AcousticMacConfig::BackoffMs(int attempt) const {
-  sim::Millis backoff = backoff_base_ms;
-  for (int i = 0; i < attempt && backoff < backoff_max_ms; ++i) backoff *= 2.0;
-  return std::min(backoff, backoff_max_ms);
+sim::Millis BackoffMs(sim::Millis base_ms, sim::Millis max_ms, int attempt) {
+  // Scaling by a power of two is exact, and past the cap min() holds.
+  return std::min(std::ldexp(base_ms, attempt), max_ms);
 }
 
 PhoneController::PhoneController(PhoneConfig config, OtpService* otp,

@@ -56,6 +56,11 @@ enum class UnlockOutcome {
 
 std::string ToString(UnlockOutcome outcome);
 
+/// Bounded exponential backoff before retry `attempt` (>= 0), shared by
+/// the ARQ and acoustic-MAC ladders: min(max_ms, base_ms * 2^attempt).
+[[nodiscard]] sim::Millis BackoffMs(sim::Millis base_ms, sim::Millis max_ms,
+                                    int attempt);
+
 /// Timeout, retry and degradation policy for one unlock attempt. All
 /// waits are charged to the virtual clock; all budgets are virtual
 /// time, so a faulted attempt still terminates with a defined outcome
@@ -85,8 +90,9 @@ struct ResilienceConfig {
   /// offloading and fall back to watch-local processing.
   int degrade_after_link_faults = 2;
 
-  /// min(backoff_max_ms, backoff_base_ms * 2^attempt).
-  sim::Millis BackoffMs(int attempt) const;
+  [[nodiscard]] sim::Millis BackoffMs(int attempt) const {
+    return protocol::BackoffMs(backoff_base_ms, backoff_max_ms, attempt);
+  }
 };
 
 /// Listen-before-talk on the acoustic band (docs/channels.md). Before
@@ -108,7 +114,9 @@ struct AcousticMacConfig {
   /// Sense attempts before declaring the channel unusable.
   int max_attempts = 6;
 
-  [[nodiscard]] sim::Millis BackoffMs(int attempt) const;
+  [[nodiscard]] sim::Millis BackoffMs(int attempt) const {
+    return protocol::BackoffMs(backoff_base_ms, backoff_max_ms, attempt);
+  }
 };
 
 /// Receiver hardening against crowded-world channel impairments
@@ -270,8 +278,7 @@ struct UnlockReport {
 };
 
 /// Hook for injecting acoustic-path manipulation. The attack agents
-/// (attack_agents.h) assemble these from a sim::AttackSpec; attacks.h
-/// keeps the older standalone attack functions on the same hooks.
+/// (attack_agents.h) assemble these from a sim::AttackSpec.
 struct AttackInjection {
   sim::Millis extra_acoustic_delay_ms = 0.0;
   /// When set, this recording replaces what the watch heard in Phase 2

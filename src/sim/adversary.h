@@ -85,7 +85,7 @@ struct AttackEvent {
 };
 
 /// Serialize an attack trace as JSONL (one event object per line) -
-/// same shape as sim::FaultTraceJsonl, validated by json_check.h.
+/// same shape as sim::FaultTraceJsonl, validated by obs::JsonParse.
 std::string AttackTraceJsonl(const std::vector<AttackEvent>& events);
 
 /// The attacker's device state: a seed-forked Rng (so attacker noise is

@@ -88,7 +88,7 @@ struct FaultEvent {
 };
 
 /// Serialize a fault trace as JSONL (one event object per line) - the
-/// format the committed golden trace pins and json_check.h validates.
+/// format the committed golden trace pins and obs::JsonParse reads.
 std::string FaultTraceJsonl(const std::vector<FaultEvent>& events);
 
 /// Executes a FaultPlan against one session. Not thread-safe: one

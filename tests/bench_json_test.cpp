@@ -1,5 +1,5 @@
 // The bench sweep engine's --json report: flag parsing, schema fields,
-// and well-formedness (tests/json_check.h is the same validator the
+// and well-formedness (obs::JsonParse is the same RFC 8259 parser the
 // telemetry-export tests trust). tools/ci.sh collects these reports
 // into BENCH_dsp_core.json, so the shape checked here is load-bearing.
 #include <cstdio>
@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_util.h"
-#include "json_check.h"
+#include "obs/json.h"
 
 namespace wearlock::bench {
 namespace {
@@ -63,8 +63,9 @@ TEST(BenchJsonTest, WriteJsonReportIsWellFormedAndCarriesTheSchema) {
   const std::string text = ReadFile(path);
   std::remove(path.c_str());
 
-  wearlock::testing::JsonChecker checker;
-  EXPECT_TRUE(checker.Check(text)) << checker.error() << "\n" << text;
+  std::string json_error;
+  EXPECT_TRUE(obs::JsonParse(text, &json_error).has_value())
+      << json_error << "\n" << text;
   EXPECT_NE(text.find("\"bench\":\"bench_json_test\""), std::string::npos);
   EXPECT_NE(text.find("\"threads\":2"), std::string::npos);
   EXPECT_NE(text.find("\"seed\":42"), std::string::npos);

@@ -33,7 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "audio/impairments.h"
-#include "json_check.h"
+#include "obs/json.h"
 #include "protocol/session.h"
 #include "sim/executor.h"
 
@@ -141,9 +141,10 @@ TEST(ChannelMatrixTest, EveryCellTerminatesWithDefinedOutcome) {
     std::istringstream trace(
         audio::ChannelTraceJsonl(session.scene().impairments()->events()));
     std::string line;
-    testing::JsonChecker checker;
+    std::string json_error;
     while (std::getline(trace, line)) {
-      EXPECT_TRUE(checker.Check(line)) << checker.error() << " in: " << line;
+      EXPECT_TRUE(obs::JsonParse(line, &json_error).has_value())
+          << json_error << " in: " << line;
     }
   }
 }
@@ -340,9 +341,10 @@ TEST(ChannelMatrixTest, GoldenImpairedUnlockTrace) {
   {
     std::istringstream lines(raw);
     std::string line;
-    testing::JsonChecker checker;
+    std::string json_error;
     while (std::getline(lines, line)) {
-      EXPECT_TRUE(checker.Check(line)) << checker.error() << " in: " << line;
+      EXPECT_TRUE(obs::JsonParse(line, &json_error).has_value())
+          << json_error << " in: " << line;
     }
   }
 

@@ -10,6 +10,7 @@
 //     + concurrent JSON snapshots);
 //   * obs::Log sink swaps racing live emission (the race this PR fixed).
 #include <atomic>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -97,6 +98,17 @@ TEST(ConcurrencyStressTest, DefaultRegistryHammeredFromAllThreads) {
   auto& registry = obs::MetricsRegistry::Default();
   const std::string tag = "stress.default_registry";
   registry.GetCounter(tag + ".count");  // pre-register one metric
+  // Default() is process-wide and keeps earlier --gtest_repeat runs'
+  // totals, so the checks are on what this run adds. A snapshot reads
+  // them without registering the metrics the workers race to create.
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  const std::uint64_t count_before = before.counters.at(tag + ".count");
+  const auto gauge_it = before.gauges.find(tag + ".gauge");
+  const double gauge_before =
+      gauge_it == before.gauges.end() ? 0.0 : gauge_it->second;
+  const auto hist_it = before.histograms.find(tag + ".hist");
+  const std::uint64_t hist_before =
+      hist_it == before.histograms.end() ? 0 : hist_it->second.count;
 
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
@@ -117,11 +129,11 @@ TEST(ConcurrencyStressTest, DefaultRegistryHammeredFromAllThreads) {
   }
   for (std::thread& t : workers) t.join();
 
-  EXPECT_EQ(registry.GetCounter(tag + ".count").value(),
+  EXPECT_EQ(registry.GetCounter(tag + ".count").value() - count_before,
             static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_DOUBLE_EQ(registry.GetGauge(tag + ".gauge").value(),
+  EXPECT_DOUBLE_EQ(registry.GetGauge(tag + ".gauge").value() - gauge_before,
                    static_cast<double>(kThreads) * kIters);
-  EXPECT_EQ(registry.GetHistogram(tag + ".hist").count(),
+  EXPECT_EQ(registry.GetHistogram(tag + ".hist").count() - hist_before,
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
@@ -137,10 +149,15 @@ TEST(ConcurrencyStressTest, SnapshotsDuringHistogramHammerStayConsistent) {
   obs::Histogram& hist = registry.GetHistogram("stress.snap.hist");
   obs::Sketch& sketch = registry.GetSketch("stress.snap.sketch");
   std::atomic<bool> stop{false};
+  // The writers wait for the snapshotter's first snapshot: started
+  // unheld, they could finish (about 5 ms of work) before it is
+  // scheduled at all, leaving nothing taken during the hammer.
+  std::latch first_snapshot(1);
 
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&hist, &sketch, t] {
+    writers.emplace_back([&hist, &sketch, &first_snapshot, t] {
+      first_snapshot.wait();
       for (int i = 0; i < kIters; ++i) {
         hist.Observe((t * 37 + i) % 200);
         sketch.Observe(1.0 + (i % 100));
@@ -149,9 +166,11 @@ TEST(ConcurrencyStressTest, SnapshotsDuringHistogramHammerStayConsistent) {
   }
 
   std::uint64_t snapshots_taken = 0;
-  std::thread snapshotter([&registry, &stop, &snapshots_taken] {
+  std::thread snapshotter([&registry, &stop, &snapshots_taken,
+                           &first_snapshot] {
     while (!stop.load(std::memory_order_relaxed)) {
       const obs::MetricsSnapshot snap = registry.Snapshot();
+      if (snapshots_taken == 0) first_snapshot.count_down();
       const auto it = snap.histograms.find("stress.snap.hist");
       if (it != snap.histograms.end()) {
         std::uint64_t bucket_sum = 0;

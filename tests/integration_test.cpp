@@ -3,7 +3,9 @@
 // attack suite, and offloading consistency.
 #include <gtest/gtest.h>
 
-#include "protocol/attacks.h"
+#include <algorithm>
+
+#include "protocol/attack_agents.h"
 #include "protocol/session.h"
 
 namespace wearlock::protocol {
@@ -266,10 +268,21 @@ TEST(Attacks, BruteForceHitsLockout) {
   EXPECT_EQ(result.attempts, 3u);
 }
 
+// The attacker carries the victim's phone to `distance_m` from the
+// watch and presses power. The attacker can hold still next to a still
+// victim, so motion gets through (worst case for the defender) and the
+// modem's range bound does the work.
+UnlockReport CoLocatedAttempt(std::uint64_t seed, double distance_m) {
+  ScenarioConfig config = BaseScenario(seed);
+  config.scene.distance_m = distance_m;
+  config.phone.enable_sensor_filter = false;
+  return UnlockSession(config).Attempt();
+}
+
 TEST(Attacks, CoLocatedFailsBeyondSecureRange) {
-  const auto near = CoLocatedAttack(BaseScenario(72), 0.5);
+  const UnlockReport near = CoLocatedAttempt(72, 0.5);
   EXPECT_TRUE(near.unlocked);  // inside the secure range: modem closes
-  const auto far = CoLocatedAttack(BaseScenario(72), 2.2);
+  const UnlockReport far = CoLocatedAttempt(72, 2.2);
   EXPECT_FALSE(far.unlocked);
   EXPECT_TRUE(far.outcome == UnlockOutcome::kTokenRejected ||
               far.outcome == UnlockOutcome::kInsufficientSnr ||
@@ -277,22 +290,28 @@ TEST(Attacks, CoLocatedFailsBeyondSecureRange) {
       << ToString(far.outcome);
 }
 
+bool TapeRecorded(const AttackReport& report) {
+  return std::any_of(
+      report.events.begin(), report.events.end(),
+      [](const sim::AttackEvent& e) { return e.stage == "capture"; });
+}
+
 TEST(Attacks, ReplayDefeatedByTimingWindow) {
-  ScenarioConfig config = BaseScenario(73);
-  const auto result = ReplayAttack(config, 0.5, /*replay_delay_ms=*/900.0);
-  ASSERT_TRUE(result.capture_succeeded);
-  EXPECT_FALSE(result.unlocked);
-  EXPECT_EQ(result.replay_outcome, UnlockOutcome::kTimingViolation);
+  const AttackReport result = RunAttackScenario(
+      BaseScenario(73), sim::AttackSpec::Parse("replay@0.5:delay=900"));
+  ASSERT_TRUE(TapeRecorded(result));
+  EXPECT_FALSE(result.victim_unlocked);
+  EXPECT_EQ(result.victim_outcome, UnlockOutcome::kTimingViolation);
 }
 
 TEST(Attacks, InstantReplayStillFailsOnStaleToken) {
   // Even a hypothetical zero-latency replay dies: the OTP counter moved.
-  ScenarioConfig config = BaseScenario(74);
-  const auto result = ReplayAttack(config, 0.4, /*replay_delay_ms=*/0.0);
-  ASSERT_TRUE(result.capture_succeeded);
-  EXPECT_FALSE(result.unlocked);
-  EXPECT_EQ(result.replay_outcome, UnlockOutcome::kTokenRejected);
-  EXPECT_GT(result.replay_token_ber, 0.1);
+  const AttackReport result = RunAttackScenario(
+      BaseScenario(74), sim::AttackSpec::Parse("replay@0.4:delay=0"));
+  ASSERT_TRUE(TapeRecorded(result));
+  EXPECT_FALSE(result.victim_unlocked);
+  EXPECT_EQ(result.victim_outcome, UnlockOutcome::kTokenRejected);
+  EXPECT_GT(result.attacker_token_ber, 0.1);
 }
 
 }  // namespace

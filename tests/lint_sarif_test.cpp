@@ -1,6 +1,6 @@
 // SARIF artifact gate: the `wearlock-lint --sarif` payload CI uploads
-// must stay a well-formed SARIF 2.1.0 log. JsonChecker (json_check.h)
-// proves RFC 8259 well-formedness; the structural assertions below pin
+// must stay a well-formed SARIF 2.1.0 log. obs::JsonParse proves
+// RFC 8259 well-formedness; the structural assertions below pin
 // the minimal schema surface a SARIF viewer needs - version/$schema,
 // one run, the tool driver with the full rule catalogue, and per-result
 // ruleId/level/message/location records.
@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "json_check.h"
 #include "lint.h"
+#include "obs/json.h"
 #include "source.h"
 
 namespace wearlock::lint {
@@ -29,8 +29,8 @@ bool Has(const std::string& text, const std::string& needle) {
 
 TEST(LintSarifTest, EmptyRunIsWellFormedWithEmptyResults) {
   const std::string sarif = SarifFor({});
-  testing::JsonChecker checker;
-  EXPECT_TRUE(checker.Check(sarif)) << checker.error();
+  std::string json_error;
+  EXPECT_TRUE(obs::JsonParse(sarif, &json_error).has_value()) << json_error;
   EXPECT_TRUE(Has(sarif, "\"version\":\"2.1.0\""));
   EXPECT_TRUE(Has(sarif, "\"$schema\""));
   EXPECT_TRUE(Has(sarif, "\"results\":[]"));
@@ -52,8 +52,8 @@ TEST(LintSarifTest, ResultsCarryRuleLevelMessageAndLocation) {
   files.push_back(SourceFile::FromString(
       "src/dsp/x.cpp", "void f() {\n  srand(1);\n}\n"));
   const std::string sarif = SarifFor(files);
-  testing::JsonChecker checker;
-  ASSERT_TRUE(checker.Check(sarif)) << checker.error();
+  std::string json_error;
+  ASSERT_TRUE(obs::JsonParse(sarif, &json_error).has_value()) << json_error;
   EXPECT_TRUE(Has(sarif, "\"ruleId\":\"determinism\""));
   EXPECT_TRUE(Has(sarif, "\"level\":\"error\""));
   EXPECT_TRUE(Has(sarif, "\"message\":{\"text\":"));
@@ -74,8 +74,8 @@ TEST(LintSarifTest, MessagesWithQuotesStayWellFormed) {
       "  g_value = 2;\n"
       "}\n"));
   const std::string sarif = SarifFor(files);
-  testing::JsonChecker checker;
-  EXPECT_TRUE(checker.Check(sarif)) << checker.error();
+  std::string json_error;
+  EXPECT_TRUE(obs::JsonParse(sarif, &json_error).has_value()) << json_error;
   EXPECT_TRUE(Has(sarif, "\"ruleId\":\"guarded-by\""));
 }
 

@@ -10,8 +10,8 @@
 #include <sstream>
 #include <string>
 
-#include "json_check.h"
 #include "obs/instrument.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "protocol/session.h"
@@ -156,22 +156,25 @@ TEST(ObsIntegration, FailedAttemptStillClosesEverySpan) {
 TEST(ObsIntegration, ExportsAreWellFormedJson) {
   UnlockSession session(NearbyQuiet());
   (void)session.Attempt();
-  testing::JsonChecker checker;
+  std::string json_error;
 
   std::ostringstream chrome;
   session.tracer().WriteChromeTrace(chrome);
-  EXPECT_TRUE(checker.Check(chrome.str())) << checker.error();
+  EXPECT_TRUE(obs::JsonParse(chrome.str(), &json_error).has_value())
+      << json_error;
 
   std::ostringstream metrics;
   session.metrics().WriteJson(metrics);
-  EXPECT_TRUE(checker.Check(metrics.str())) << checker.error();
+  EXPECT_TRUE(obs::JsonParse(metrics.str(), &json_error).has_value())
+      << json_error;
 
   std::ostringstream jsonl;
   session.tracer().WriteJsonl(jsonl);
   std::istringstream lines(jsonl.str());
   std::string line;
   while (std::getline(lines, line)) {
-    EXPECT_TRUE(checker.Check(line)) << checker.error() << "\n" << line;
+    EXPECT_TRUE(obs::JsonParse(line, &json_error).has_value())
+        << json_error << "\n" << line;
   }
 }
 

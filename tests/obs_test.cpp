@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "json_check.h"
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -138,8 +138,9 @@ TEST(MetricsRegistry, WriteJsonIsWellFormed) {
   registry.GetSeries("s.ms").Observe(12.0);
   std::ostringstream os;
   registry.WriteJson(os);
-  testing::JsonChecker checker;
-  EXPECT_TRUE(checker.Check(os.str())) << checker.error() << "\n" << os.str();
+  std::string json_error;
+  EXPECT_TRUE(obs::JsonParse(os.str(), &json_error).has_value())
+      << json_error << "\n" << os.str();
 }
 
 TEST(CurrentMetrics, DefaultsAndScopedInstall) {
@@ -228,10 +229,11 @@ TEST(Tracer, JsonlAndChromeExportsAreWellFormed) {
   tracer.EndSpan(root);
   tracer.BeginSpan("dangling");  // left open: exporter must still close
 
-  testing::JsonChecker checker;
+  std::string json_error;
   std::ostringstream chrome;
   tracer.WriteChromeTrace(chrome);
-  EXPECT_TRUE(checker.Check(chrome.str())) << checker.error();
+  EXPECT_TRUE(obs::JsonParse(chrome.str(), &json_error).has_value())
+      << json_error;
   // Every B has a matching E even for the dangling span.
   std::size_t begins = 0, ends = 0, at = 0;
   const std::string text = chrome.str();
@@ -253,7 +255,8 @@ TEST(Tracer, JsonlAndChromeExportsAreWellFormed) {
   std::string line;
   std::size_t n = 0;
   while (std::getline(lines, line)) {
-    EXPECT_TRUE(checker.Check(line)) << checker.error() << "\n" << line;
+    EXPECT_TRUE(obs::JsonParse(line, &json_error).has_value())
+        << json_error << "\n" << line;
     ++n;
   }
   EXPECT_EQ(n, 3u);
@@ -267,8 +270,8 @@ TEST(Tracer, ClearResets) {
   EXPECT_EQ(tracer.open_depth(), 0u);
   std::ostringstream os;
   tracer.WriteChromeTrace(os);
-  testing::JsonChecker checker;
-  EXPECT_TRUE(checker.Check(os.str())) << checker.error();
+  std::string json_error;
+  EXPECT_TRUE(obs::JsonParse(os.str(), &json_error).has_value()) << json_error;
 }
 
 TEST(CurrentTracerTest, NullByDefaultScopedInstall) {

@@ -30,7 +30,7 @@
 
 #include <gtest/gtest.h>
 
-#include "json_check.h"
+#include "obs/json.h"
 #include "obs/rollup.h"
 #include "protocol/attack_agents.h"
 #include "protocol/distance_bounding.h"
@@ -149,9 +149,10 @@ std::string NormalizeTraceTimestamps(const std::string& jsonl) {
 void ExpectWellFormedJsonl(const std::string& jsonl) {
   std::istringstream lines(jsonl);
   std::string line;
-  testing::JsonChecker checker;
+  std::string json_error;
   while (std::getline(lines, line)) {
-    EXPECT_TRUE(checker.Check(line)) << checker.error() << " in: " << line;
+    EXPECT_TRUE(obs::JsonParse(line, &json_error).has_value())
+        << json_error << " in: " << line;
   }
 }
 

@@ -836,9 +836,9 @@ void CheckModeledTime(const SourceFile& file, std::vector<Diagnostic>* out) {
   const std::vector<Token> toks = LexTokens(code);
   const std::vector<Statement> stmts = SplitStatements(toks);
 
-  // Accumulator sinks: every `proto_ms`, plus variables declared on a
-  // line annotated "// lint: modeled-time".
-  std::set<std::string> accumulators = {"proto_ms"};
+  // Accumulator sinks: every `proto_ms` (or member `proto_ms_`), plus
+  // variables declared on a line annotated "// lint: modeled-time".
+  std::set<std::string> accumulators = {"proto_ms", "proto_ms_"};
   for (int line = 1; line <= file.line_count(); ++line) {
     const std::string& comment = file.CommentOn(line);
     const std::size_t tag = comment.find("modeled-time");
@@ -849,28 +849,44 @@ void CheckModeledTime(const SourceFile& file, std::vector<Diagnostic>* out) {
     if (!name.empty()) accumulators.insert(name);
   }
 
-  // Sink functions: lambdas bound to a name whose body writes an
-  // accumulator (`auto charge = [&](Millis ms) { proto_ms += ms; };`).
+  // Sink functions: lambdas bound to a name, or out-of-line member
+  // functions, whose body writes an accumulator
+  // (`auto charge = [&](Millis ms) { proto_ms += ms; };`,
+  // `Awaiter Machine::Charge(Millis ms) { proto_ms_ += ms; ... }`).
   // Passing a tainted value to one launders host time into modeled
-  // time. Statement splitting cuts at the lambda's top-level '{', so
-  // this scan matches `name = [` on the raw token stream and walks the
-  // brace-matched body instead.
+  // time. Statement splitting cuts at the body's top-level '{', so this
+  // scan matches `name = [` or `Class::name(...) {` on the raw token
+  // stream and walks the brace-matched body instead.
   std::set<std::string> sink_fns;
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent || toks[i + 1].text != "=" ||
-        toks[i + 2].text != "[") {
-      continue;
-    }
-    std::size_t j = MatchForward(toks, i + 2);  // end of capture list
-    if (j == toks.size()) continue;
-    ++j;
-    if (j < toks.size() && toks[j].text == "(") {
-      j = MatchForward(toks, j);
+    if (toks[i].kind != Token::Kind::kIdent) continue;
+    std::size_t j = toks.size();
+    if (toks[i + 1].text == "=" && toks[i + 2].text == "[") {
+      j = MatchForward(toks, i + 2);  // end of capture list
       if (j == toks.size()) continue;
       ++j;
+      if (j < toks.size() && toks[j].text == "(") {
+        j = MatchForward(toks, j);
+        if (j == toks.size()) continue;
+        ++j;
+      }
+      // Skip a trailing-return-type spelling until the body brace.
+      while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") {
+        ++j;
+      }
+    } else if (i >= 2 && toks[i - 1].text == "::" &&
+               toks[i - 2].kind == Token::Kind::kIdent &&
+               toks[i + 1].text == "(") {
+      // A definition's parameter list is followed by its body (past any
+      // cv/noexcept qualifiers); a qualified call never is.
+      j = MatchForward(toks, i + 1);
+      if (j == toks.size()) continue;
+      ++j;
+      while (j < toks.size() &&
+             (toks[j].text == "const" || toks[j].text == "noexcept")) {
+        ++j;
+      }
     }
-    // Skip a trailing-return-type spelling until the body brace.
-    while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") ++j;
     if (j >= toks.size() || toks[j].text != "{") continue;
     const std::size_t close = MatchForward(toks, j);
     if (close == toks.size()) continue;

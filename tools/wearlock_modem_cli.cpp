@@ -138,18 +138,26 @@ int Run(int argc, char** argv) {
   wearlock::obs::MetricsRegistry registry;
   wearlock::obs::ScopedTracer install_tracer(&tracer);
   wearlock::obs::ScopedMetricsRegistry install_metrics(&registry);
+  // False, after saying which, when an output path cannot be opened.
+  auto cannot_open = [](const std::string& path) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  };
   auto dump_telemetry = [&]() {
     if (!trace_path.empty()) {
       std::ofstream os(trace_path);
+      if (!os) return cannot_open(trace_path);
       tracer.WriteChromeTrace(os);
       std::fprintf(stderr, "wrote %zu spans to %s\n", tracer.spans().size(),
                    trace_path.c_str());
     }
     if (!metrics_path.empty()) {
       std::ofstream os(metrics_path);
+      if (!os) return cannot_open(metrics_path);
       registry.WriteJson(os);
       std::fprintf(stderr, "wrote metrics to %s\n", metrics_path.c_str());
     }
+    return true;
   };
 
   modem::AcousticModem acoustic_modem;
@@ -206,7 +214,7 @@ int Run(int argc, char** argv) {
   };
 
   const int rc = run();
-  dump_telemetry();
+  if (!dump_telemetry()) return 2;
   if (!session_log_path.empty()) {
     obs::SessionRecord record;
     record.config = "modem-" + command;
@@ -219,7 +227,7 @@ int Run(int argc, char** argv) {
     if (names_mod) record.mode = ToString(config.modulation);
     std::ofstream os(session_log_path, std::ios::app);
     if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", session_log_path.c_str());
+      cannot_open(session_log_path);
       return 2;
     }
     os << record.ToJsonl() << "\n";
