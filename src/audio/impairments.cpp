@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
 
+#include "audio/propagation.h"
 #include "dsp/filter.h"
 #include "dsp/resample.h"
 #include "dsp/spl.h"
@@ -18,8 +20,6 @@ namespace wearlock::audio {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
-/// Speed of sound (m/s) - matches the propagation model's constant.
-constexpr double kSpeedOfSoundMps = 343.0;
 
 /// Direct-to-reverberant ratio of the parametric late field (dB). Small
 /// rooms at sub-metre range keep the direct path well above the tail;
@@ -103,7 +103,7 @@ ChannelImpairments::ChannelImpairments(ImpairmentPlan plan, sim::Rng rng,
   // when *later* in this sequence; the order is part of the replay
   // contract (docs/channels.md).
   warp_rate_ = (1.0 + plan_.sro_ppm * 1e-6) /
-               (1.0 + plan_.doppler_mps / kSpeedOfSoundMps);
+               (1.0 + plan_.doppler_mps / kSpeedOfSound);
   window_shift_ = static_cast<std::size_t>(
       std::llround(plan_.sro_ppm * 1e-6 * plan_.clock_age_s * kSampleRate));
   Record("impairments-armed",
@@ -147,14 +147,12 @@ ChannelImpairments::ChannelImpairments(ImpairmentPlan plan, sim::Rng rng,
   }
 
   neighbors_.reserve(plan_.pairs);
-  constexpr std::size_t kCandidates =
-      sizeof(kNeighborCandidateBins) / sizeof(kNeighborCandidateBins[0]);
   for (std::size_t p = 0; p < plan_.pairs; ++p) {
     NeighborTransmitter tx;
     const std::size_t n_bins =
         4 + static_cast<std::size_t>(rng_.UniformInt(0, 2));
-    std::vector<std::size_t> pool(kNeighborCandidateBins,
-                                  kNeighborCandidateBins + kCandidates);
+    std::vector<std::size_t> pool(std::begin(kNeighborCandidateBins),
+                                  std::end(kNeighborCandidateBins));
     for (std::size_t b = 0; b < n_bins; ++b) {
       const std::size_t pick =
           static_cast<std::size_t>(rng_.UniformInt(0, pool.size() - 1));

@@ -115,12 +115,6 @@ class ChannelImpairments {
   ChannelImpairments(ImpairmentPlan plan, sim::Rng rng,
                      std::size_t rx_guard_samples = 0);
 
-  /// Combined time-warp rate the watch observes: (1 + sro) / (1 + v/c).
-  double warp_rate() const { return warp_rate_; }
-
-  /// Accumulated capture-window misalignment, samples (>= 0).
-  std::size_t window_shift_samples() const { return window_shift_; }
-
   std::size_t rx_guard_samples() const { return rx_guard_; }
 
   /// Apply SRO+Doppler warp and the RT60 late field to the propagated
@@ -154,10 +148,9 @@ class ChannelImpairments {
     return neighbors_;
   }
 
-  /// Acoustic-timeline cursor (samples since scene start). Captures
-  /// and MAC backoff waits advance it, so re-listening after a backoff
-  /// sees every neighbor's duty cycle progressed.
-  std::size_t cursor() const { return cursor_; }
+  /// Advance the acoustic-timeline cursor (samples since scene start).
+  /// Captures and MAC backoff waits advance it, so re-listening after a
+  /// backoff sees every neighbor's duty cycle progressed.
   void AdvanceCursor(std::size_t samples) { cursor_ += samples; }
 
   /// Append a protocol-side event (MAC defer, drift estimate, degrade)
@@ -165,7 +158,6 @@ class ChannelImpairments {
   void RecordEvent(const std::string& kind, const std::string& detail,
                    double at_ms);
 
-  const ImpairmentPlan& plan() const { return plan_; }
   const std::vector<ChannelEvent>& events() const { return events_; }
 
  private:
@@ -174,8 +166,8 @@ class ChannelImpairments {
   ImpairmentPlan plan_;
   sim::Rng rng_;
   std::size_t rx_guard_ = 0;
-  double warp_rate_ = 1.0;
-  std::size_t window_shift_ = 0;
+  double warp_rate_ = 1.0;  ///< the watch's (1 + sro) / (1 + v/c)
+  std::size_t window_shift_ = 0;  ///< capture misalignment, samples
   Samples reverb_ir_;  ///< late-field IR (empty when reverb is off)
   std::vector<NeighborTransmitter> neighbors_;
   std::size_t cursor_ = 0;

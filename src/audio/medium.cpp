@@ -1,7 +1,5 @@
 #include "audio/medium.h"
 
-#include <cmath>
-
 #include "dsp/filter.h"
 #include "dsp/hilbert.h"
 #include "dsp/resample.h"
@@ -9,82 +7,71 @@
 
 namespace wearlock::audio {
 
-AcousticChannel::AcousticChannel(ChannelConfig config, sim::Rng rng)
-    : config_(config),
-      propagation_(config.propagation),
-      ambient_(config.custom_noise ? NoiseSource(*config.custom_noise, rng.Fork())
-                                   : NoiseSource(config.environment, rng.Fork())),
-      rng_(std::move(rng)) {}
-
-Samples AcousticChannel::MakeNoise(std::size_t n) {
-  Samples noise = ambient_.Generate(n);
-  if (jammer_) {
-    MixInto(noise, jammer_->Generate(n));
-  }
-  // Microphone self-noise.
-  const double self_rms =
-      wearlock::dsp::RmsFromSpl(config_.microphone.spec().self_noise_spl);
-  Samples self = rng_.GaussianVector(n, self_rms);
-  MixInto(noise, self);
-  return noise;
+NoiseSource MakeAmbient(Environment environment,
+                        const std::optional<NoiseProfile>& custom_noise,
+                        sim::Rng rng) {
+  if (custom_noise) return NoiseSource(*custom_noise, std::move(rng));
+  return NoiseSource(environment, std::move(rng));
 }
+
+Samples ApplyPhaseJitter(Samples x, double phase_noise_rad,
+                         double phase_noise_bw_hz, sim::Rng& rng) {
+  if (phase_noise_rad <= 0.0 || x.empty()) return x;
+  Samples theta = rng.GaussianVector(x.size());
+  if (phase_noise_bw_hz > 0.0 && phase_noise_bw_hz < kSampleRate / 2.0) {
+    wearlock::dsp::Biquad lpf =
+        wearlock::dsp::Biquad::LowPass(phase_noise_bw_hz, kSampleRate);
+    theta = lpf.ProcessBlock(theta);
+  }
+  ScaleToRms(theta, phase_noise_rad);
+  return wearlock::dsp::RotatePhase(x, theta);
+}
+
+Samples ReceiverNoise(Samples ambient, const std::optional<ToneJammer>& jammer,
+                      const MicrophoneModel& mic, sim::Rng& rng) {
+  if (jammer) MixInto(ambient, jammer->Generate(ambient.size()));
+  const double self_rms =
+      wearlock::dsp::RmsFromSpl(mic.spec().self_noise_spl);
+  MixInto(ambient, rng.GaussianVector(ambient.size(), self_rms));
+  return ambient;
+}
+
+CaptureFrame FrameCapture(const Samples& at_rx, std::size_t lead_in,
+                          std::size_t lead_out,
+                          const std::function<Samples(std::size_t)>& bed) {
+  CaptureFrame frame{bed(lead_in + at_rx.size() + lead_out)};
+  frame.noise_spl = wearlock::dsp::SplOf(frame.pressure);
+  MixIntoAt(frame.pressure, at_rx, lead_in);
+  return frame;
+}
+
+AcousticChannel::AcousticChannel(ChannelConfig config, sim::Rng rng)
+    : config_(std::move(config)),
+      propagation_(config_.propagation),
+      ambient_(MakeAmbient(config_.environment, config_.custom_noise,
+                           rng.Fork())),
+      rng_(std::move(rng)) {}
 
 Reception AcousticChannel::Transmit(const Samples& signal, double volume) {
   // Speaker -> air -> receiver position.
-  const Samples emitted = config_.speaker.Emit(signal, volume);
-  Samples at_rx = propagation_.Propagate(emitted, config_.distance_m);
-
+  Samples at_rx = propagation_.Propagate(config_.speaker.Emit(signal, volume),
+                                         config_.distance_m);
   // Doppler from receiver motion: uniform time compression/stretch.
   if (config_.radial_velocity_mps != 0.0) {
     const double rate = 1.0 + config_.radial_velocity_mps / kSpeedOfSound;
     at_rx = wearlock::dsp::WarpTimeLinear(at_rx, 1.0 / rate);
   }
-
-  // Receive-chain phase jitter (see ChannelConfig::phase_noise_rad).
-  if (config_.phase_noise_rad > 0.0 && !at_rx.empty()) {
-    Samples theta = rng_.GaussianVector(at_rx.size());
-    if (config_.phase_noise_bw_hz > 0.0 &&
-        config_.phase_noise_bw_hz < kSampleRate / 2.0) {
-      wearlock::dsp::Biquad lpf = wearlock::dsp::Biquad::LowPass(
-          config_.phase_noise_bw_hz, kSampleRate);
-      theta = lpf.ProcessBlock(theta);
-    }
-    const double rms = wearlock::dsp::Rms(theta);
-    if (rms > 0.0) Scale(theta, config_.phase_noise_rad / rms);
-    at_rx = wearlock::dsp::RotatePhase(at_rx, theta);
-  }
-
-  // Assemble the receiver's pressure field: noise everywhere, signal
-  // starting after the lead-in.
-  const std::size_t total =
-      config_.lead_in_samples + at_rx.size() + config_.lead_out_samples;
-  Samples pressure = MakeNoise(total);
-  const double spl_noise = wearlock::dsp::SplOf(pressure);
-  MixIntoAt(pressure, at_rx, config_.lead_in_samples);
-
-  Reception r;
-  r.signal_start = config_.lead_in_samples;
-  r.spl_signal_at_rx = wearlock::dsp::SplOf(at_rx);
-  r.spl_noise_at_rx = spl_noise;
-  r.recording = config_.microphone.Capture(pressure);
-  return r;
-}
-
-Samples AcousticChannel::RecordAmbient(std::size_t n) {
-  return config_.microphone.Capture(MakeNoise(n));
-}
-
-void AcousticChannel::SetJammer(std::optional<ToneJammer> jammer) {
-  jammer_ = std::move(jammer);
-}
-
-void AcousticChannel::set_distance(double distance_m) {
-  config_.distance_m = distance_m;
-}
-
-void AcousticChannel::set_propagation(const PropagationSpec& spec) {
-  config_.propagation = spec;
-  propagation_ = PropagationModel(spec);
+  at_rx = ApplyPhaseJitter(std::move(at_rx), config_.phase_noise_rad,
+                           config_.phase_noise_bw_hz, rng_);
+  const CaptureFrame frame = FrameCapture(
+      at_rx, config_.lead_in_samples, config_.lead_out_samples,
+      [this](std::size_t n) {
+        return ReceiverNoise(ambient_.Generate(n), jammer_,
+                             config_.microphone, rng_);
+      });
+  return {config_.microphone.Capture(frame.pressure),
+          config_.lead_in_samples, wearlock::dsp::SplOf(at_rx),
+          frame.noise_spl};
 }
 
 }  // namespace wearlock::audio

@@ -10,14 +10,6 @@
 namespace wearlock::audio {
 namespace {
 constexpr double kPi = std::numbers::pi;
-
-/// Rescale x so its SPL is spl_db (no-op on silent buffers).
-void CalibrateSpl(Samples& x, double spl_db) {
-  const double rms = wearlock::dsp::Rms(x);
-  if (rms <= 0.0) return;
-  Scale(x, wearlock::dsp::RmsFromSpl(spl_db) / rms);
-}
-
 }  // namespace
 
 std::string ToString(Environment env) {
@@ -99,14 +91,11 @@ Samples NoiseSource::Generate(std::size_t n) {
 
   // Normalize each component to unit rms before mixing so the mix
   // fractions are energy fractions.
-  auto unit = [](Samples s) {
-    const double r = wearlock::dsp::Rms(s);
-    if (r > 0.0) Scale(s, 1.0 / r);
-    return s;
-  };
-  Samples out = unit(std::move(shaped));
+  Samples out = std::move(shaped);
+  ScaleToRms(out, 1.0);
   Scale(out, std::sqrt(shaped_mix));
-  Samples broad = unit(rng_.GaussianVector(n));
+  Samples broad = rng_.GaussianVector(n);
+  ScaleToRms(broad, 1.0);
   Scale(broad, std::sqrt(profile_.broadband_mix));
   MixInto(out, broad);
 
@@ -129,7 +118,7 @@ Samples NoiseSource::Generate(std::size_t n) {
   }
 
   samples_generated_ += n;
-  CalibrateSpl(out, profile_.spl_db);
+  ScaleToRms(out, wearlock::dsp::RmsFromSpl(profile_.spl_db));
   return out;
 }
 
@@ -153,8 +142,7 @@ Samples ToneJammer::Generate(std::size_t n) const {
       out[i] += std::sin(2.0 * kPi * f * t + 0.731 * static_cast<double>(b));
     }
   }
-  const double rms = wearlock::dsp::Rms(out);
-  if (rms > 0.0) Scale(out, wearlock::dsp::RmsFromSpl(spl_db_) / rms);
+  ScaleToRms(out, wearlock::dsp::RmsFromSpl(spl_db_));
   return out;
 }
 

@@ -61,8 +61,6 @@ class NoiseSource {
   /// n samples of ambient noise at the profile's SPL.
   Samples Generate(std::size_t n);
 
-  const NoiseProfile& profile() const { return profile_; }
-
  private:
   NoiseProfile profile_;
   sim::Rng rng_;
@@ -86,9 +84,6 @@ class ToneJammer {
 
   /// n samples of the jamming waveform.
   Samples Generate(std::size_t n) const;
-
-  const std::vector<std::size_t>& bins() const { return bins_; }
-  double spl_db() const { return spl_db_; }
 
  private:
   std::vector<std::size_t> bins_;

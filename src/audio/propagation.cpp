@@ -61,17 +61,13 @@ Samples PropagationModel::Propagate(const Samples& emitted,
   const double direct_delay =
       distance_m / kSpeedOfSound * kSampleRate;
 
-  Samples out;
-  {
-    Samples direct = wearlock::dsp::DelayFractional(emitted, direct_delay);
-    if (spec_.direct_lowpass_hz > 0.0) {
-      auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
-          spec_.direct_lowpass_hz, kSampleRate, 2);
-      direct = lpf.ProcessBlock(direct);
-    }
-    Scale(direct, direct_gain);
-    out = std::move(direct);
+  Samples out = wearlock::dsp::DelayFractional(emitted, direct_delay);
+  if (spec_.direct_lowpass_hz > 0.0) {
+    auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
+        spec_.direct_lowpass_hz, kSampleRate, 2);
+    out = lpf.ProcessBlock(out);
   }
+  Scale(out, direct_gain);
   for (const MultipathTap& tap : spec_.taps) {
     const double path_m = distance_m + tap.extra_distance_m;
     const double tap_gain = GainAt(path_m) * tap.gain;

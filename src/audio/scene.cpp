@@ -4,17 +4,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "dsp/filter.h"
-#include "dsp/hilbert.h"
+#include "audio/medium.h"
 #include "dsp/spl.h"
 
 namespace wearlock::audio {
 namespace {
-
-NoiseSource MakeAmbient(const SceneConfig& config, sim::Rng rng) {
-  if (config.custom_noise) return NoiseSource(*config.custom_noise, std::move(rng));
-  return NoiseSource(config.environment, std::move(rng));
-}
 
 /// The Tg-vs-reverberation bound (paper SIII): the speaker keeps
 /// radiating for ringing_tail_s after the input stops, and the frame's
@@ -39,8 +33,10 @@ void ValidateGuardBudget(const SceneConfig& config) {
 TwoMicScene::TwoMicScene(SceneConfig config, sim::Rng rng)
     : config_(config),
       propagation_(config.propagation),
-      shared_ambient_(MakeAmbient(config, rng.Fork())),
-      watch_ambient_(MakeAmbient(config, rng.Fork())),
+      shared_ambient_(
+          MakeAmbient(config.environment, config.custom_noise, rng.Fork())),
+      watch_ambient_(
+          MakeAmbient(config.environment, config.custom_noise, rng.Fork())),
       rng_(std::move(rng)) {
   ValidateGuardBudget(config_);
 }
@@ -56,28 +52,36 @@ void TwoMicScene::AdvanceTimeMs(double ms) {
   }
 }
 
-void TwoMicScene::set_propagation(const PropagationSpec& spec) {
-  config_.propagation = spec;
-  propagation_ = PropagationModel(spec);
-}
-
-Samples TwoMicScene::MicNoise(std::size_t n, const MicrophoneModel& mic) {
-  const double rms = wearlock::dsp::RmsFromSpl(mic.spec().self_noise_spl);
-  return rng_.GaussianVector(n, rms);
-}
-
-Samples TwoMicScene::ApplyPhaseJitter(Samples x) {
-  if (config_.phase_noise_rad <= 0.0 || x.empty()) return x;
-  Samples theta = rng_.GaussianVector(x.size());
-  if (config_.phase_noise_bw_hz > 0.0 &&
-      config_.phase_noise_bw_hz < kSampleRate / 2.0) {
-    wearlock::dsp::Biquad lpf =
-        wearlock::dsp::Biquad::LowPass(config_.phase_noise_bw_hz, kSampleRate);
-    theta = lpf.ProcessBlock(theta);
+std::pair<Samples, Samples> TwoMicScene::NoiseBeds(std::size_t n,
+                                                   bool watch_first) {
+  Samples shared = shared_ambient_.Generate(n);
+  Samples watch = config_.co_located ? shared : watch_ambient_.Generate(n);
+  Samples phone;
+  const auto phone_noise = [&] {
+    phone = ReceiverNoise(std::move(shared), std::nullopt, config_.phone_mic,
+                          rng_);
+  };
+  if (!watch_first) phone_noise();
+  watch = ReceiverNoise(std::move(watch), jammer_, config_.watch_mic, rng_);
+  if (watch_first) phone_noise();
+  // Contending neighbors and noise bursts are environmental events:
+  // both co-located mics hear the same waveform (the ambient-similarity
+  // filter must keep working under contention).
+  if (impairments_) {
+    if (impairments_->has_neighbors()) {
+      const Samples neighbor = impairments_->NeighborWaveform(n);
+      MixInto(phone, neighbor);
+      MixInto(watch, neighbor);
+    }
+    const Samples burst =
+        impairments_->MaybeBurst(n, wearlock::dsp::Rms(watch));
+    if (!burst.empty()) {
+      MixInto(phone, burst);
+      MixInto(watch, burst);
+    }
+    impairments_->AdvanceCursor(n);
   }
-  const double rms = wearlock::dsp::Rms(theta);
-  if (rms > 0.0) Scale(theta, config_.phase_noise_rad / rms);
-  return wearlock::dsp::RotatePhase(x, theta);
+  return {std::move(phone), std::move(watch)};
 }
 
 SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
@@ -85,89 +89,48 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
   const Samples emitted = config_.phone_speaker.Emit(signal, volume);
 
   // Watch side: propagate, jitter, then sit it in ambient noise.
-  Samples at_watch =
-      ApplyPhaseJitter(propagation_.Propagate(emitted, config_.distance_m));
+  Samples at_watch = ApplyPhaseJitter(
+      propagation_.Propagate(emitted, config_.distance_m),
+      config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
   if (impairments_) {
     // SRO/Doppler warp + room late field, as the watch's clock hears it.
     at_watch = impairments_->ApplyWatchPath(std::move(at_watch));
   }
-  const std::size_t total = config_.lead_in_samples + at_watch.size() +
-                            config_.lead_out_samples +
-                            (impairments_ ? impairments_->rx_guard_samples() : 0);
+  Samples phone_pressure;
+  CaptureFrame watch = FrameCapture(
+      at_watch, config_.lead_in_samples,
+      config_.lead_out_samples +
+          (impairments_ ? impairments_->rx_guard_samples() : 0),
+      [&](std::size_t n) {
+        std::pair<Samples, Samples> beds = NoiseBeds(n, /*watch_first=*/true);
+        phone_pressure = std::move(beds.first);
+        return std::move(beds.second);
+      });
 
-  Samples shared = SharedAmbient(total);
-  Samples watch_pressure =
-      config_.co_located ? shared : IndependentAmbient(total);
-  if (jammer_) MixInto(watch_pressure, jammer_->Generate(total));
-  MixInto(watch_pressure, MicNoise(total, config_.watch_mic));
-  // Contending neighbors and noise bursts are environmental events:
-  // both co-located mics hear the same waveform (the ambient-similarity
-  // filter must keep working under contention).
-  Samples neighbor;
-  Samples burst;
-  if (impairments_) {
-    if (impairments_->has_neighbors()) {
-      neighbor = impairments_->NeighborWaveform(total);
-      MixInto(watch_pressure, neighbor);
-    }
-    burst = impairments_->MaybeBurst(total, wearlock::dsp::Rms(watch_pressure));
-    if (!burst.empty()) MixInto(watch_pressure, burst);
-  }
-  const double watch_noise_spl = wearlock::dsp::SplOf(watch_pressure);
-  MixIntoAt(watch_pressure, at_watch, config_.lead_in_samples);
-
-  // Phone side: self-recording at the reference distance (its own mic is
-  // d0 from its speaker).
-  Samples at_phone = propagation_.Propagate(
-      emitted, propagation_.spec().reference_distance_m);
-  Samples phone_pressure = std::move(shared);
-  phone_pressure.resize(total, 0.0);
-  MixInto(phone_pressure, MicNoise(total, config_.phone_mic));
-  if (!neighbor.empty()) MixInto(phone_pressure, neighbor);
-  if (!burst.empty()) MixInto(phone_pressure, burst);
-  MixIntoAt(phone_pressure, at_phone, config_.lead_in_samples);
+  // Phone side: its own mic is d0 from its speaker and records over the
+  // watch's window.
+  MixIntoAt(phone_pressure,
+            propagation_.Propagate(emitted,
+                                   propagation_.spec().reference_distance_m),
+            config_.lead_in_samples);
 
   if (impairments_) {
     // The watch's capture window opened early by the accumulated clock
     // offset: content slides later, the tail past the window is lost.
-    watch_pressure = impairments_->ShiftCaptureWindow(
-        std::move(watch_pressure), config_.lead_in_samples);
-    impairments_->AdvanceCursor(total);
+    watch.pressure = impairments_->ShiftCaptureWindow(
+        std::move(watch.pressure), config_.lead_in_samples);
   }
 
-  SceneReception r;
-  r.signal_start = config_.lead_in_samples;
-  r.watch_spl_signal = wearlock::dsp::SplOf(at_watch);
-  r.watch_spl_noise = watch_noise_spl;
-  r.phone_recording = config_.phone_mic.Capture(phone_pressure);
-  r.watch_recording = config_.watch_mic.Capture(watch_pressure);
-  return r;
+  return {.phone_recording = config_.phone_mic.Capture(phone_pressure),
+          .watch_recording = config_.watch_mic.Capture(watch.pressure),
+          .signal_start = config_.lead_in_samples,
+          .watch_spl_signal = wearlock::dsp::SplOf(at_watch),
+          .watch_spl_noise = watch.noise_spl};
 }
 
 std::pair<Samples, Samples> TwoMicScene::RecordAmbientPair(std::size_t n) {
-  Samples shared = SharedAmbient(n);
-  Samples phone_pressure = shared;
-  MixInto(phone_pressure, MicNoise(n, config_.phone_mic));
-  Samples watch_pressure = config_.co_located ? std::move(shared)
-                                              : IndependentAmbient(n);
-  if (jammer_) MixInto(watch_pressure, jammer_->Generate(n));
-  MixInto(watch_pressure, MicNoise(n, config_.watch_mic));
-  if (impairments_) {
-    if (impairments_->has_neighbors()) {
-      const Samples neighbor = impairments_->NeighborWaveform(n);
-      MixInto(phone_pressure, neighbor);
-      MixInto(watch_pressure, neighbor);
-    }
-    const Samples burst =
-        impairments_->MaybeBurst(n, wearlock::dsp::Rms(watch_pressure));
-    if (!burst.empty()) {
-      MixInto(phone_pressure, burst);
-      MixInto(watch_pressure, burst);
-    }
-    impairments_->AdvanceCursor(n);
-  }
-  return {config_.phone_mic.Capture(phone_pressure),
-          config_.watch_mic.Capture(watch_pressure)};
+  const auto [phone, watch] = NoiseBeds(n, /*watch_first=*/false);
+  return {config_.phone_mic.Capture(phone), config_.watch_mic.Capture(watch)};
 }
 
 Samples TwoMicScene::RecordAtDistance(const Samples& signal, double volume,
@@ -175,25 +138,18 @@ Samples TwoMicScene::RecordAtDistance(const Samples& signal, double volume,
                                       const PropagationSpec& path,
                                       double gain_db) {
   const Samples emitted = config_.phone_speaker.Emit(signal, volume);
-  PropagationModel prop(path);
-  Samples at_ear =
-      ApplyPhaseJitter(prop.Propagate(emitted, eavesdropper_distance_m));
+  Samples at_ear = ApplyPhaseJitter(
+      PropagationModel(path).Propagate(emitted, eavesdropper_distance_m),
+      config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
   if (gain_db != 0.0) Scale(at_ear, std::pow(10.0, gain_db / 20.0));
-  const std::size_t total =
-      config_.lead_in_samples + at_ear.size() + config_.lead_out_samples;
-  Samples pressure = IndependentAmbient(total);
-  MixInto(pressure, MicNoise(total, config_.phone_mic));
-  MixIntoAt(pressure, at_ear, config_.lead_in_samples);
+  const CaptureFrame frame = FrameCapture(
+      at_ear, config_.lead_in_samples, config_.lead_out_samples,
+      [this](std::size_t n) {
+        return ReceiverNoise(watch_ambient_.Generate(n), std::nullopt,
+                             config_.phone_mic, rng_);
+      });
   // Assume the attacker carries full-band recording gear.
-  return MicrophoneModel::Phone().Capture(pressure);
-}
-
-Samples TwoMicScene::SharedAmbient(std::size_t n) {
-  return shared_ambient_.Generate(n);
-}
-
-Samples TwoMicScene::IndependentAmbient(std::size_t n) {
-  return watch_ambient_.Generate(n);
+  return MicrophoneModel::Phone().Capture(frame.pressure);
 }
 
 }  // namespace wearlock::audio

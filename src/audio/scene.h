@@ -2,16 +2,18 @@
 // (speaker + self-recording mic) and one watch (mic only) in a shared
 // environment.
 //
-// Unlike AcousticChannel (single TX->RX path, used for modem-level
-// experiments), the scene renders *both* device recordings from one
-// shared ambient-noise waveform when the devices are co-located. That
-// correlation is exactly what the Sound-Proof-style ambient similarity
-// filter keys on; scenes with co_located=false give each mic independent
-// ambience of the same environment class.
+// Both mics render through the receive path in medium.h, as
+// AcousticChannel's single mic does; the scene adds the second mic.
+// When the devices are co-located both recordings carry one shared
+// ambient-noise waveform. That correlation is exactly what the
+// Sound-Proof-style ambient similarity filter keys on; scenes with
+// co_located=false give each mic independent ambience of the same
+// environment class.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <utility>
 
 #include "audio/impairments.h"
 #include "audio/microphone.h"
@@ -37,7 +39,7 @@ struct SceneConfig {
   /// Ambient recorded before/after the signal (samples).
   std::size_t lead_in_samples = 4096;
   std::size_t lead_out_samples = 2048;
-  /// Receive-chain phase jitter (see ChannelConfig docs).
+  /// Receive-chain phase jitter (see ApplyPhaseJitter in medium.h).
   double phase_noise_rad = 0.04;
   double phase_noise_bw_hz = 600.0;
   /// The frame's guard interval Tg (samples). The paper sizes Tg to
@@ -81,7 +83,6 @@ class TwoMicScene {
                            const PropagationSpec& path, double gain_db = 0.0);
 
   void set_distance(double distance_m) { config_.distance_m = distance_m; }
-  void set_propagation(const PropagationSpec& spec);
   void SetJammer(std::optional<ToneJammer> jammer) { jammer_ = std::move(jammer); }
   const SceneConfig& config() const { return config_; }
 
@@ -104,10 +105,11 @@ class TwoMicScene {
   void AdvanceTimeMs(double ms);
 
  private:
-  Samples SharedAmbient(std::size_t n);
-  Samples IndependentAmbient(std::size_t n);
-  Samples MicNoise(std::size_t n, const MicrophoneModel& mic);
-  Samples ApplyPhaseJitter(Samples x);
+  /// Both mics' noise beds (phone, watch) over an n-sample window, then
+  /// the acoustic timeline advanced past it. The mics' self-noise is
+  /// drawn watch-first or phone-first: each caller's draw order is part
+  /// of its output bits.
+  std::pair<Samples, Samples> NoiseBeds(std::size_t n, bool watch_first);
 
   SceneConfig config_;
   PropagationModel propagation_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/spl.h"
+
 namespace wearlock::audio {
 
 void MixInto(Samples& y, const Samples& x) { MixIntoAt(y, x, 0); }
@@ -14,6 +16,11 @@ void MixIntoAt(Samples& y, const Samples& x, std::size_t offset) {
 
 void Scale(Samples& x, double gain) {
   for (double& v : x) v *= gain;
+}
+
+void ScaleToRms(Samples& x, double rms) {
+  const double current = wearlock::dsp::Rms(x);
+  if (current > 0.0) Scale(x, rms / current);
 }
 
 void Clip(Samples& x, double limit) {

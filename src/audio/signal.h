@@ -24,6 +24,9 @@ void MixIntoAt(Samples& y, const Samples& x, std::size_t offset);
 /// Elementwise scale in place.
 void Scale(Samples& x, double gain);
 
+/// Scale in place to RMS `rms` (silent buffers stay silent).
+void ScaleToRms(Samples& x, double rms);
+
 /// Hard-clip to [-limit, limit] (speaker/mic saturation).
 void Clip(Samples& x, double limit);
 

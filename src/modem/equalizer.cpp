@@ -35,13 +35,6 @@ ChannelEstimate ChannelEstimate::Average(
   return ChannelEstimate(estimates.front().first_bin_, std::move(acc));
 }
 
-double ChannelEstimate::MeanMagnitude() const {
-  if (response_.empty()) return 0.0;
-  double acc = 0.0;
-  for (const dsp::Complex& h : response_) acc += std::abs(h);
-  return acc / static_cast<double>(response_.size());
-}
-
 ChannelEstimate EstimateChannel(const FrameSpec& spec,
                                 const dsp::ComplexVec& spectrum) {
   std::vector<std::size_t> pilots = spec.plan.pilots;

@@ -31,9 +31,6 @@ class ChannelEstimate {
   /// estimate (data bins are kept inside the span by construction).
   dsp::Complex At(std::size_t bin) const;
 
-  /// |H| averaged over the span (sanity/diagnostic).
-  double MeanMagnitude() const;
-
   /// Elementwise average with another estimate (same span required);
   /// used to combine estimates from repeated probe symbols.
   static ChannelEstimate Average(const std::vector<ChannelEstimate>& estimates);

@@ -94,13 +94,13 @@ AttemptMachine::AttemptMachine(const PhoneConfig& config, OtpService* otp,
 void AttemptMachine::Start() {
   root_ = Run();  // lazy: no protocol code runs until the slice fires
   const std::coroutine_handle<> handle = root_.handle();
-  pending_event_ =
-      queue_.ScheduleAfter(0.0, [this, handle] { ResumeSlice(handle); });
+  // Unconditional, like every slice: nothing ever cancels one.
+  (void)queue_.ScheduleAfter(0.0, [this, handle] { ResumeSlice(handle); });
 }
 
 void AttemptMachine::ScheduleResume(sim::Millis ms,
                                     std::coroutine_handle<> handle) {
-  pending_event_ = queue_.ScheduleAfter(ms, [this, ms, handle] {
+  (void)queue_.ScheduleAfter(ms, [this, ms, handle] {
     // The session's own clock carries the session's own waits - never
     // the queue's global time, which co-tenant sessions also advance.
     clock_.Advance(ms);

@@ -188,7 +188,6 @@ class AttemptMachine {
   AttemptHooks hooks_;
 
   sim::CoTask<> root_;
-  sim::EventQueue::EventId pending_event_ = 0;
   UnlockReport report_;
   /// Deterministic protocol-time accumulator: audio, communication and
   /// waits - everything modeled from the seed - but NOT host-measured

@@ -23,10 +23,6 @@ std::vector<std::uint8_t> OtpService::NextTokenBits() {
   return modem::BitsFromWord(TokenAt(send_counter_++));
 }
 
-std::vector<std::uint8_t> OtpService::CurrentTokenBits() const {
-  return modem::BitsFromWord(TokenAt(send_counter_));
-}
-
 TokenValidation OtpService::ValidateBits(const std::vector<std::uint8_t>& bits,
                                          double required_ber) {
   TokenValidation v;

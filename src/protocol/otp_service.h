@@ -39,9 +39,6 @@ class OtpService {
   /// Bits of the next token to transmit (advances the counter).
   std::vector<std::uint8_t> NextTokenBits();
 
-  /// Current token bits without advancing (for re-transmission).
-  std::vector<std::uint8_t> CurrentTokenBits() const;
-
   /// Validate demodulated bits against the expected counter window: the
   /// token whose bits are nearest (lowest BER) wins; accepted if its BER
   /// is <= required_ber. On acceptance the counter moves past the match

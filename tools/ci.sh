@@ -8,8 +8,8 @@
 #      the lint_test suite, the wearlock_lint_src tree gate, the header
 #      self-containment TUs, and the bench_smoke quick-runs; then
 #      fft_plan_test repeated 200 times (the PlanCache miss race)
-#   3. bench report: fig5 --json at 1 and 8 threads collected into
-#      BENCH_dsp_core.json; the serial run is also the zero-allocation
+#   3. bench report: fig5 --json at 1 and 8 threads recorded in the
+#      BENCH_dsp_core.json history; the serial run is also the zero-allocation
 #      steady-state gate (docs/perf.md)
 #   4. parallel-determinism gate: fig7 stdout must be byte-identical
 #      between --threads 1 and --threads 8 (docs/parallelism.md)
@@ -65,6 +65,56 @@ SANITIZERS=(address undefined thread)
 
 banner() { printf '\n==== %s ====\n' "$1"; }
 
+# Bench history: BENCH_<suite>.json keeps one entry per run, keyed by
+# the git sha and hardware_concurrency read from the reports' own
+# provenance, each holding that run's reports unchanged (the per-report
+# shape bench_json_test checks). A rerun with the same key replaces its
+# entry; any other run is appended; a missing file is created.
+record_bench() {  # $1 = suite, $2... = this run's report files
+  local suite="$1"
+  shift
+  python3 - "BENCH_$suite.json" "$suite" "$@" <<'PY'
+import json, os, sys
+from decimal import Decimal
+
+path, suite, report_files = sys.argv[1], sys.argv[2], sys.argv[3:]
+
+def load(file_name):
+    with open(file_name) as f:
+        return json.load(f, parse_float=Decimal)  # keep numbers verbatim
+
+def dump(v):
+    if isinstance(v, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + dump(x)
+                              for k, x in v.items()) + "}"
+    if isinstance(v, list):
+        return "[" + ",".join(map(dump, v)) + "]"
+    return str(v) if isinstance(v, Decimal) else json.dumps(v)
+
+history = load(path)["history"] if os.path.exists(path) else []
+reports = [load(r) for r in report_files]
+provenance = reports[0]["provenance"]
+entry = {"git_sha": provenance["git_sha"],
+         "hardware_concurrency": provenance["hardware_concurrency"],
+         "reports": reports}
+keys = [(h["git_sha"], h["hardware_concurrency"]) for h in history]
+key = (entry["git_sha"], entry["hardware_concurrency"])
+if key in keys:
+    history[keys.index(key)] = entry
+else:
+    history.append(entry)
+with open(path, "w") as f:
+    f.write('{"bench_suite":%s,"history":[\n' % json.dumps(suite))
+    f.write(",\n".join(
+        '{"git_sha":%s,"hardware_concurrency":%s,"reports":[\n%s\n]}'
+        % (json.dumps(h["git_sha"]), dump(h["hardware_concurrency"]),
+           ",\n".join(map(dump, h["reports"]))) for h in history))
+    f.write("\n]}\n")
+print("recorded %d reports in %s (%d runs of history)"
+      % (len(reports), path, len(history)))
+PY
+}
+
 banner "gate: wearlock-lint src/ tests/ bench/ tools/"
 cmake -B build -S . -DWEARLOCK_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS" --target wearlock-lint >/dev/null
@@ -103,8 +153,8 @@ ctest --test-dir build -R fft_plan_test --repeat until-fail:200 -j4 \
 
 banner "bench report: fig5 timing JSON (BENCH_dsp_core.json)"
 # One timed quick sweep per thread count, each writing the schema
-# checked by bench_json_test; the two reports are collected side by side
-# so the committed artifact records serial and parallel wall time. The
+# checked by bench_json_test; the two reports are recorded side by side
+# so the committed history holds serial and parallel wall time. The
 # --threads 1 run doubles as the zero-allocation gate: fig5 exits
 # non-zero if the warmed sweep misses the plan cache or grows a
 # workspace slot.
@@ -112,14 +162,7 @@ build/bench/fig5_ber_ebn0 --quick --threads 1 \
     --json build/fig5-t1.json >/dev/null
 build/bench/fig5_ber_ebn0 --quick --threads 8 \
     --json build/fig5-t8.json >/dev/null
-{
-  printf '{"bench_suite":"dsp_core","reports":[\n'
-  cat build/fig5-t1.json
-  printf ',\n'
-  cat build/fig5-t8.json
-  printf ']}\n'
-} >BENCH_dsp_core.json
-echo "wrote BENCH_dsp_core.json"
+record_bench dsp_core build/fig5-t1.json build/fig5-t8.json
 
 banner "parallel determinism: fig7 --threads 1 vs --threads 8"
 # The executor's contract (docs/parallelism.md): sweep tables are a pure
@@ -217,14 +260,7 @@ build/bench/fleet_throughput --threads 1 \
     --json build/fleet-bench-t1.json >/dev/null
 build/bench/fleet_throughput --threads 8 \
     --json build/fleet-bench-t8.json >/dev/null
-{
-  printf '{"bench_suite":"fleet","reports":[\n'
-  cat build/fleet-bench-t1.json
-  printf ',\n'
-  cat build/fleet-bench-t8.json
-  printf ']}\n'
-} >BENCH_fleet.json
-echo "wrote BENCH_fleet.json"
+record_bench fleet build/fleet-bench-t1.json build/fleet-bench-t8.json
 
 banner "channel gate: ctest -L channel + CLI impaired replay"
 # The crowded-world contract (docs/channels.md): every impaired cell
@@ -294,14 +330,7 @@ channel_bench_min3() {  # $1 = thread count, $2 = output json
 }
 channel_bench_min3 1 build/channel-bench-t1.json
 channel_bench_min3 8 build/channel-bench-t8.json
-{
-  printf '{"bench_suite":"channel","reports":[\n'
-  cat build/channel-bench-t1.json
-  printf ',\n'
-  cat build/channel-bench-t8.json
-  printf ']}\n'
-} >BENCH_channel.json
-echo "wrote BENCH_channel.json"
+record_bench channel build/channel-bench-t1.json build/channel-bench-t8.json
 
 if [[ "$SKIP_SAN" == "1" ]]; then
   echo "skipping sanitizer builds (--skip-sanitizers): ${SANITIZERS[*]}"
